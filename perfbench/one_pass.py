@@ -97,7 +97,7 @@ class Outcome:
         self.verdict = None
 
 
-def run_job(job, text, seed, recorder, facts):
+def run_job(job, text, recorder, facts):
     """Run one job and add its work counts to ``facts``.
 
     Returns ``(record, outcome)``.  The synthesis results themselves are
@@ -115,7 +115,7 @@ def run_job(job, text, seed, recorder, facts):
         if job.resolve:
             t0 = time.perf_counter()
             outcome.encoding = repro.encoding.resolve_csc(
-                stg, seed=seed, max_signals=workloads.MAX_CSC_SIGNALS
+                stg, seed=workloads.RESOLVE_SEED, max_signals=workloads.MAX_CSC_SIGNALS
             )
             record["resolve_s"] = time.perf_counter() - t0
             stg = outcome.encoding.stg
@@ -238,12 +238,12 @@ def warm_up():
     repro.encoding.resolve_csc(repro.stg.csc_conflict_example())
 
 
-def run_jobs(jobs, texts, seed, recorder):
+def run_jobs(jobs, texts, recorder):
     """Run the jobs back to back; returns ``(records, outcomes, facts)``."""
     facts = dict.fromkeys(FACTS, 0)
     records, outcomes = [], []
     for job in jobs:
-        record, outcome = run_job(job, texts[job.spec], seed, recorder, facts)
+        record, outcome = run_job(job, texts[job.spec], recorder, facts)
         records.append(record)
         gc.collect()
         record["probe_s"] = probe.probes_after(record["elapsed_s"])
@@ -273,7 +273,7 @@ def main(argv=None):
     recorder = layers.install(layers.SpanRecorder()) if args.trace else None
     tracer = repro.obs.tracing("perfbench") if args.trace else contextlib.nullcontext()
     with tracer as obs_tracer:
-        records, outcomes, facts = run_jobs(jobs, texts, args.seed, recorder)
+        records, outcomes, facts = run_jobs(jobs, texts, recorder)
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     check_jobs(args.workload, jobs, records, outcomes)
     for record in records:

@@ -2,7 +2,7 @@
 
     python3 -m pytest perfbench -q
 
-The determinism test runs two traced passes of every workload (a few
+The determinism test runs two traced passes of every workload (one to two
 minutes in all).
 """
 
