@@ -2,22 +2,25 @@
 
     python3 perfbench/one_pass.py --workload table1 --seed 0 [--trace] [--setup-only]
 
-Set-up (interpreter start, imports with the numpy kernel probe, spec
-generation and ``.g`` serialisation, and a warm-up: every method, the
-conformance simulator and ``resolve_csc`` once on a 3-signal spec, so that
-the interpreter's first-use costs land in set-up instead of in whichever
-job a seed puts first) ends with a ``{"ready": t}`` line,
-``t`` being ``time.monotonic()``, which the runner compares with its own
-clock at spawn time.  Then each job prints one ``{"job": ...}`` line and
-the pass ends with one ``{"summary": ...}`` line.
+Every time is CPU time of this process (:data:`layers.clock`).  Set-up
+(interpreter start, imports with the numpy kernel probe, spec generation
+and ``.g`` serialisation, and a warm-up: every method, the conformance
+simulator and ``resolve_csc`` once on a 3-signal spec, so that the
+interpreter's first-use costs land in set-up instead of in whichever job a
+seed puts first) ends with a ``{"ready": t, "probe_s": [...]}`` line, ``t``
+being the CPU seconds the process has used so far, and the speed probes
+(:mod:`probe`) taken right after.  Then each job prints one ``{"job": ...}``
+line, with the probes on either side of each of its steps, and the pass
+ends with one ``{"summary": ...}`` line.
 
 A job parses its spec's ``.g`` text, runs ``resolve_csc`` when the job asks
 for it, synthesises with each of its methods and conformance-simulates the
-unfolding-approx circuit.  Only that is timed.  Between jobs a garbage
-collection keeps one job's cyclic garbage out of the next one's time and
-memory, and :func:`probe.probes_after` measures the machine's speed.  Peak
-memory is read when the last job ends.  The correctness gate then
-runs on every job, untimed: a job fails when it raised, overran
+unfolding-approx circuit.  Only that is timed, step by step (see
+:func:`run_job`), with the speed probes between the steps.  Between jobs a
+garbage collection keeps one job's cyclic garbage out of the next one's
+time and memory.  Peak memory is read when the last job ends.  The
+correctness gate then runs on every job, untimed: a job fails when it
+raised, overran
 ``JOB_BUDGET_S``, got a conformance verdict other than ``ok``, fails
 ``verify_implementation`` (when the explicit state graph fits
 ``VERIFY_MAX_STATES``), or gives a literal count other than the expected
@@ -37,7 +40,6 @@ import os
 import resource
 import signal
 import sys
-import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(os.path.dirname(HERE), "src"))
@@ -53,7 +55,11 @@ from repro.stategraph import build_state_graph  # noqa: E402
 import layers  # noqa: E402
 import probe  # noqa: E402
 import workloads  # noqa: E402
+from layers import clock  # noqa: E402
 from workloads import APPROX, BDD, EXACT, EXPLICIT  # noqa: E402
+
+#: Step name of ``resolve_csc``; the other steps are named by their method.
+RESOLVE = "resolve"
 
 FACTS = (
     "literals",
@@ -97,46 +103,68 @@ class Outcome:
         self.verdict = None
 
 
-def run_job(job, text, recorder, facts):
+def run_step(name, outcome, results, facts, step):
+    """Run one step of a job on ``outcome.stg``: ``resolve_csc`` or one
+    method's synthesis.  The unfolding-approx step also
+    conformance-simulates its circuit.
+    """
+    if name == RESOLVE:
+        t0 = clock()
+        outcome.encoding = repro.encoding.resolve_csc(
+            outcome.stg, seed=workloads.RESOLVE_SEED, max_signals=workloads.MAX_CSC_SIGNALS
+        )
+        step["resolve_s"] = clock() - t0
+        outcome.stg = outcome.encoding.stg
+        return
+    t0 = clock()
+    results[name] = repro.synthesis.synthesize(outcome.stg, method=name)
+    step["synth_s"][name] = clock() - t0
+    if name == APPROX:
+        exploration = repro.sim.simulate_implementation(
+            outcome.stg, results[name].implementation
+        )
+        outcome.verdict = exploration.verdict()
+        facts["sim.states"] += exploration.num_states
+
+
+def run_job(job, text, recorder, facts, before):
     """Run one job and add its work counts to ``facts``.
 
-    Returns ``(record, outcome)``.  The synthesis results themselves are
+    The job runs as steps (:func:`run_step`), each timed on its own, with
+    speed probes between them; ``before`` are the probes taken before the
+    first step, which also parses the spec.  Returns ``(record, outcome, after)``, ``after`` being the
+    probes taken after the last step.  The synthesis results themselves are
     dropped here, so that what the gate keeps stays small.
     """
-    record = {"job": job.label, "synth_s": {}, "resolve_s": 0.0, "failure": None}
+    record = {"job": job.label, "steps": [], "failure": None}
     outcome = Outcome()
     results = {}
+    names = ([RESOLVE] if job.resolve else []) + list(job.methods)
     signal.setitimer(signal.ITIMER_REAL, workloads.JOB_BUDGET_S)
-    start = time.perf_counter()
-    if recorder is not None:
-        recorder.open(layers.JOB_SPAN)
     try:
-        stg = repro.stg.parse_g(text, name=job.spec)
-        if job.resolve:
-            t0 = time.perf_counter()
-            outcome.encoding = repro.encoding.resolve_csc(
-                stg, seed=workloads.RESOLVE_SEED, max_signals=workloads.MAX_CSC_SIGNALS
-            )
-            record["resolve_s"] = time.perf_counter() - t0
-            stg = outcome.encoding.stg
-        outcome.stg = stg
-        for method in job.methods:
-            t0 = time.perf_counter()
-            results[method] = repro.synthesis.synthesize(stg, method=method)
-            record["synth_s"][method] = time.perf_counter() - t0
-        if APPROX in results:
-            exploration = repro.sim.simulate_implementation(stg, results[APPROX].implementation)
-            outcome.verdict = exploration.verdict()
-            facts["sim.states"] += exploration.num_states
+        for index, name in enumerate(names):
+            step = {"step": name, "synth_s": {}, "resolve_s": 0.0, "probe_s": before}
+            record["steps"].append(step)
+            start = clock()
+            if recorder is not None:
+                recorder.open(layers.JOB_SPAN)
+            try:
+                if index == 0:
+                    outcome.stg = repro.stg.parse_g(text, name=job.spec)
+                run_step(name, outcome, results, facts, step)
+            finally:
+                if recorder is not None:
+                    recorder.close()
+                step["elapsed_s"] = clock() - start
+            before = probe.probes_after(step["elapsed_s"])
+            step["probe_s"] = step["probe_s"] + before
     except JobTimeout:
         record["failure"] = "timeout after %gs" % workloads.JOB_BUDGET_S
     except Exception as exc:  # a failed job is counted, the pass goes on
         record["failure"] = "%s: %s" % (type(exc).__name__, exc)
     finally:
-        if recorder is not None:
-            recorder.close()
-        record["elapsed_s"] = time.perf_counter() - start
         signal.setitimer(signal.ITIMER_REAL, 0)
+    record["elapsed_s"] = sum(step["elapsed_s"] for step in record["steps"])
     for method, result in results.items():
         outcome.circuits[method] = (
             result.implementation,
@@ -147,7 +175,7 @@ def run_job(job, text, recorder, facts):
         _add_facts(facts, method, result)
     if outcome.encoding is not None:
         facts["flow.csc_signals"] += outcome.encoding.num_inserted
-    return record, outcome
+    return record, outcome, before
 
 
 def _add_facts(facts, method, result):
@@ -238,16 +266,18 @@ def warm_up():
     repro.encoding.resolve_csc(repro.stg.csc_conflict_example())
 
 
-def run_jobs(jobs, texts, recorder):
-    """Run the jobs back to back; returns ``(records, outcomes, facts)``."""
+def run_jobs(jobs, texts, recorder, before):
+    """Run the jobs back to back; returns ``(records, outcomes, facts)``.
+
+    ``before`` are the probe times taken before the first job.
+    """
     facts = dict.fromkeys(FACTS, 0)
     records, outcomes = [], []
     for job in jobs:
-        record, outcome = run_job(job, texts[job.spec], recorder, facts)
+        record, outcome, before = run_job(job, texts[job.spec], recorder, facts, before)
         records.append(record)
-        gc.collect()
-        record["probe_s"] = probe.probes_after(record["elapsed_s"])
         outcomes.append(outcome)
+        gc.collect()
     return records, outcomes, facts
 
 
@@ -264,7 +294,9 @@ def main(argv=None):
         texts[name] = repro.stg.write_g(repro.stg.benchmark_by_name(name).build())
     warm_up()
     gc.collect()
-    emit({"ready": time.monotonic()})
+    ready = clock()
+    before = probe.probes(probe.MIN_PROBES)
+    emit({"ready": ready, "probe_s": before})
     if args.setup_only:
         return 0
 
@@ -273,20 +305,20 @@ def main(argv=None):
     recorder = layers.install(layers.SpanRecorder()) if args.trace else None
     tracer = repro.obs.tracing("perfbench") if args.trace else contextlib.nullcontext()
     with tracer as obs_tracer:
-        records, outcomes, facts = run_jobs(jobs, texts, recorder)
+        records, outcomes, facts = run_jobs(jobs, texts, recorder, before)
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     check_jobs(args.workload, jobs, records, outcomes)
     for record in records:
         emit(record)
 
-    wall_s = sum(record["elapsed_s"] for record in records)
+    pass_s = sum(record["elapsed_s"] for record in records)
     failures = [
         "%s: %s" % (record["job"], record["failure"])
         for record in records
         if record["failure"] is not None
     ]
     summary = {
-        "wall_s": wall_s,
+        "pass_s": pass_s,
         "attempted": len(jobs),
         "failed": len(failures),
         "failures": failures,
@@ -296,7 +328,7 @@ def main(argv=None):
     if recorder is not None:
         counters = repro.obs.span_summary(obs_tracer.root)["counters"]
         summary["layers"], summary["absent"] = layers.layer_metrics(
-            recorder, counters, facts, wall_s
+            recorder, counters, facts, pass_s
         )
         summary["span_calls"] = dict(recorder.calls)
     emit({"summary": summary})

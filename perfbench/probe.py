@@ -1,46 +1,80 @@
 """Machine-speed probe that calibrates the benchmark's times.
 
-On a host shared with other tenants the same pass runs up to half again
-slower for stretches of seconds to minutes, so raw times spread by up to a
-fifth between runs.  Every pass therefore runs :func:`speed_probe`, a
-fixed loop of interpreter work, after each job: once per ``PROBE_EVERY_S``
-of the job's time, so that long jobs weigh as much as they last.  The
-runner scales the run's times by ``(REFERENCE_S / p) ** SENSITIVITY``,
-``p`` being the median probe time of the run.  The probe never changes and
-runs outside the timed jobs, so a change to the program's own work is not
-scaled away.
+Every time the benchmark reports is CPU time, which a descheduled pass
+does not accrue.  CPU time still depends on how fast the core runs: on a
+shared host the same code flips between two speeds, about 1.8 times apart,
+every second or few (most likely another tenant's load on the same
+physical core).  Over 150 s of interleaved samples on such a host, the CPU
+time of sg-bdd on ``muller_pipeline(8)`` varied by 21% (coefficient of
+variation) and that of unfolding-approx by 19%, and a probe like
+:func:`speed_probe` moved with them (correlation 0.74 and 0.56, sample by
+sample).
 
-The workload does not always speed up and slow down with the probe: some
-stretches speed up the probe's tight loop by a third and the synthesis
-jobs hardly at all.  Over 21 ten-run metric sets (three timed metrics of
-seven workload runs) on the shared host these figures come from, the worst
-quartile spread was 24% raw, 32% with full scaling (exponent 1) and 17%
-with the square root, which also cut the mean spread from 14% to 10%.
-Hence :data:`SENSITIVITY`.
+So a pass runs probes between the timed steps of its jobs (see
+``one_pass.run_job``): before the first step, and after every step, one
+per ``PROBE_EVERY_S`` of the step just ended.  The runner multiplies each
+step's times by :func:`factor` of the probes on either side of it.  In
+the samples above, summed over windows of about 15 s, the calibrated times
+varied by 4% and 2%, against 12% and 9% raw.  The probe never changes and
+runs outside the timed steps with the garbage collector off, so neither a
+change to the program's work nor the size of its heap is scaled away.
 """
 
+import gc
 import time
 
-#: Probe time the calibrated figures are expressed at.
-REFERENCE_S = 0.010
-#: Exponent of the speed correction (see the module docstring).
-SENSITIVITY = 0.5
-#: Job time per probe, and the most probes after one job.
-PROBE_EVERY_S = 0.25
-MAX_PROBES = 8
+#: Probe time the calibrated figures are expressed at: the probe's CPU time
+#: on the host above at its faster speed.
+REFERENCE_S = 0.006
+#: Step time per probe after a step, and the fewest and most probes in a gap.
+PROBE_EVERY_S = 0.1
+MIN_PROBES = 2
+MAX_PROBES = 40
+
+
+class _Node:
+    __slots__ = ("low", "high", "var")
+
+    def __init__(self, low, high, var):
+        self.low = low
+        self.high = high
+        self.var = var
 
 
 def speed_probe():
-    """Seconds a fixed loop of dict and integer operations takes now."""
-    start = time.perf_counter()
-    table = {}
-    for i in range(60000):
-        key = i & 4095
-        table[key] = table.get(key, 0) + i
-    return time.perf_counter() - start
+    """CPU seconds a fixed mix of interpreter work takes now: a unique
+    table of small objects keyed by tuples, a keyed sort and string work."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        start = time.process_time()
+        unique = {}
+        nodes = []
+        for i in range(10000):
+            key = (i % 997, (i * 7) % 1009, i & 31)
+            node = unique.get(key)
+            if node is None:
+                node = unique[key] = _Node(*key)
+            nodes.append(node)
+        nodes.sort(key=lambda node: (node.high, node.low))
+        ",".join(str(node.var) for node in nodes[:2000]).split(",")
+        return time.process_time() - start
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def probes(count):
+    """``count`` probe times, taken back to back."""
+    return [speed_probe() for _ in range(count)]
 
 
 def probes_after(elapsed_s):
-    """Probe times taken after a job that ran ``elapsed_s`` seconds."""
-    count = max(1, min(MAX_PROBES, int(elapsed_s / PROBE_EVERY_S)))
-    return [speed_probe() for _ in range(count)]
+    """Probe times taken after a step that ran ``elapsed_s`` CPU seconds."""
+    return probes(max(MIN_PROBES, min(MAX_PROBES, int(elapsed_s / PROBE_EVERY_S))))
+
+
+def factor(probe_s):
+    """Factor that brings times measured next to ``probe_s`` to the
+    reference speed."""
+    return REFERENCE_S * len(probe_s) / sum(probe_s)

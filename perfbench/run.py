@@ -7,14 +7,15 @@ workload's jobs starts in a fresh interpreter (``one_pass.py``), so the
 program's module-level memo caches start cold, as they do for a command
 line user, and are shared by the jobs of the pass, as in a batch run.
 
-``--trace 0`` runs untraced passes back to back until ``--seconds`` of job
-time is measured, and at least ``MIN_PASSES``, and reports the end-to-end
-metrics as medians over the passes; ``setup_s`` is the median over every
-pass's set-up plus ``SETUP_ONLY_STARTS`` set-up-only starts.  ``--trace 1``
-alternates ``MIN_PASSES`` untraced and traced passes and reports the
-per-layer metrics of the faster traced pass, with
-``obs.trace_overhead_frac`` comparing the two kinds.  Every time is
-calibrated to a reference machine speed (see ``probe.py``).
+``--trace 0`` runs untraced passes back to back until ``--seconds`` have
+gone by, and at least ``MIN_PASSES``, and reports the end-to-end metrics as
+medians over the passes; ``setup_s`` is the median over every pass's
+set-up plus ``SETUP_ONLY_STARTS`` set-up-only starts.  ``--trace 1`` runs
+pairs of an untraced and a traced pass until ``--seconds`` have gone by,
+at least one pair, and reports the per-layer metrics of the fastest traced
+pass, with ``obs.trace_overhead_frac`` comparing the two kinds.  Every
+time is CPU time of the pass process (see ``layers.clock``), calibrated to
+a reference machine speed by the probes around it (see ``probe.py``).
 
 The last line of standard output is one JSON object with the keys
 ``correct``, ``attempted``, ``failed`` and ``metrics``; the lines before it
@@ -41,7 +42,7 @@ import workloads  # noqa: E402
 
 #: End-to-end metrics: (name, unit).  Every one is lower-is-better.
 END_TO_END = (
-    ("wall_s", "s"),
+    ("pass_s", "s"),
     ("setup_s", "s"),
     ("peak_rss_mb", "MB"),
     ("literals", "count"),
@@ -54,6 +55,8 @@ MIN_PASSES = 2
 SETUP_ONLY_STARTS = 3
 #: Wall-clock budget of a whole run; a pass still going then is killed.
 RUN_BUDGET_S = 170.0
+#: The passes run one thread each, numpy's BLAS included.
+PASS_ENV = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
 
 
 class Pass:
@@ -78,9 +81,9 @@ def run_pass(workload, seed, traced=False, setup_only=False, timeout=None):
         command.append("--trace")
     if setup_only:
         command.append("--setup-only")
-    spawned = time.monotonic()
     process = subprocess.Popen(
-        command, cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
+        command, cwd=ROOT, env=PASS_ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True,
     )
     error = None
     try:
@@ -95,7 +98,7 @@ def run_pass(workload, seed, traced=False, setup_only=False, timeout=None):
     for line in out.splitlines():
         record = json.loads(line)
         if "ready" in record:
-            setup_s = record["ready"] - spawned
+            setup_s = record["ready"] * probe.factor(record["probe_s"])
         elif "job" in record:
             jobs.append(record)
         elif "summary" in record:
@@ -115,32 +118,34 @@ def _metric(value, unit):
     return {"value": value, "unit": unit}
 
 
-def speed_scale(passes):
-    """Factor calibrating the passes' times to :data:`probe.REFERENCE_S`."""
-    probes = [t for done in passes for job in done.jobs for t in job["probe_s"]]
-    if not probes:
-        return 1.0
-    return (probe.REFERENCE_S / _median(probes)) ** probe.SENSITIVITY
+def pass_times(done):
+    """Calibrated times of one pass: ``(pass_s, synth_s, resolve_s)``, the
+    job time, the synthesis time per method and the resolve time.  Each
+    step's times are brought to the reference speed by the probes around it."""
+    total, synth, resolve = 0.0, {}, 0.0
+    for job in done.jobs:
+        for step in job["steps"]:
+            factor = probe.factor(step["probe_s"])
+            total += factor * step["elapsed_s"]
+            resolve += factor * step["resolve_s"]
+            for method, seconds in step["synth_s"].items():
+                synth[method] = synth.get(method, 0.0) + factor * seconds
+    return total, synth, resolve
 
 
 def median_times(passes):
-    """Medians over ``passes`` of the pass's job time, synthesis time per
-    method and resolve time, calibrated: ``(wall_s, synth_s, resolve_s)``."""
-    scale = speed_scale(passes)
-    walls, resolves, synth = [], [], {}
+    """Medians over ``passes`` of :func:`pass_times`."""
+    totals_s, resolves, synth = [], [], {}
     for done in passes:
-        walls.append(done.summary["wall_s"])
-        resolves.append(sum(job["resolve_s"] for job in done.jobs))
-        totals = {}
-        for job in done.jobs:
-            for method, seconds in job["synth_s"].items():
-                totals[method] = totals.get(method, 0.0) + seconds
+        total, totals, resolve = pass_times(done)
+        totals_s.append(total)
+        resolves.append(resolve)
         for method, seconds in totals.items():
             synth.setdefault(method, []).append(seconds)
     return (
-        scale * _median(walls),
-        {method: scale * _median(times) for method, times in synth.items()},
-        scale * _median(resolves),
+        _median(totals_s),
+        {method: _median(times) for method, times in synth.items()},
+        _median(resolves),
     )
 
 
@@ -157,8 +162,11 @@ class Run:
         self.failures = []
         self.job_count = len(workloads.jobs_for(workload, seed))
 
+    def elapsed(self):
+        return time.monotonic() - self.started
+
     def remaining(self):
-        return RUN_BUDGET_S - (time.monotonic() - self.started)
+        return RUN_BUDGET_S - self.elapsed()
 
     def one(self, traced=False):
         """Run a pass and count it: its jobs are attempted, unfinished ones failed."""
@@ -193,11 +201,11 @@ class Run:
 
 
 def end_to_end(run):
-    """End-to-end metrics of a run: calibrated medians over its passes."""
-    wall, synth, _resolve = median_times(run.passes)
+    """End-to-end metrics of a run: medians over its passes."""
+    pass_s, synth, _resolve = median_times(run.passes)
     values = {
-        "wall_s": wall,
-        "setup_s": speed_scale(run.passes) * _median(run.setups),
+        "pass_s": pass_s,
+        "setup_s": _median(run.setups),
         "peak_rss_mb": _median([p.summary["peak_rss_mb"] for p in run.passes]),
         "literals": _median([p.summary["facts"]["literals"] for p in run.passes]),
         "synth_s.unfolding-approx": synth.get(workloads.APPROX, 0.0),
@@ -217,18 +225,18 @@ def per_layer(plain, traced):
     traced = [p for p in traced if p.summary is not None]
     if not plain or not traced:
         return {name: _metric(0.0, unit) for name, unit, _b, _r in layers.PER_LAYER}, []
-    best = min(traced, key=lambda p: p.summary["wall_s"])
-    scale = speed_scale([best])
-    # Calibrate seconds, and rates per second, like every other time.
+    best = min(traced, key=lambda p: pass_times(p)[0])
+    # Calibrate seconds, and rates per second, like the job times.
+    scale = pass_times(best)[0] / best.summary["pass_s"]
     powers = {"s": 1, "1/s": -1}
     found = {}
     for name, unit, _better, _requires in layers.PER_LAYER:
         if name in best.summary["layers"]:
             found[name] = best.summary["layers"][name] * scale ** powers.get(unit, 0)
     absent = list(best.summary["absent"])
-    plain_wall, synth, resolve = median_times(plain)
-    traced_wall, _synth, _resolve = median_times(traced)
-    found["obs.trace_overhead_frac"] = traced_wall / plain_wall - 1.0
+    plain_s, synth, resolve = median_times(plain)
+    traced_s, _synth, _resolve = median_times(traced)
+    found["obs.trace_overhead_frac"] = traced_s / plain_s - 1.0
     found["flow.synth_s.sg-explicit"] = synth.get(workloads.EXPLICIT, 0.0)
     found["flow.synth_s.unfolding-exact"] = synth.get(workloads.EXACT, 0.0)
     found["flow.resolve_s"] = resolve
@@ -245,26 +253,22 @@ def per_layer(plain, traced):
 
 def report(run, metrics, absent, traced):
     """Human-readable lines printed before the JSON result."""
-    probes = [t for p in run.passes for job in p.jobs for t in job["probe_s"]]
     lines = [
         "perfbench workload=%s seed=%d trace=%d passes=%d setup_samples=%d "
-        "median_probe_s=%.6f (times calibrated to %.3f)"
-        % (
-            run.workload, run.seed, int(traced), len(run.passes), len(run.setups),
-            _median(probes), probe.REFERENCE_S,
-        )
+        "(CPU seconds at the probe's reference speed)"
+        % (run.workload, run.seed, int(traced), len(run.passes), len(run.setups))
     ]
-    wall = metrics.get("obs.traced_wall_s", {}).get("value")
+    traced_s = metrics.get("obs.traced_pass_s", {}).get("value")
     for name, metric in metrics.items():
         if name in absent:
             lines.append("  %-34s n/a (this workload does not exercise it)" % name)
             continue
         line = "  %-34s %14.6f %s" % (name, metric["value"], metric["unit"])
-        if wall and metric["unit"] == "s" and name.split(".")[0] not in ("flow", "obs"):
-            line += "  (%.1f%% of traced wall_s)" % (100.0 * metric["value"] / wall)
+        if traced_s and metric["unit"] == "s" and name.split(".")[0] not in ("flow", "obs"):
+            line += "  (%.1f%% of traced pass_s)" % (100.0 * metric["value"] / traced_s)
         lines.append(line)
     if not traced and run.passes:
-        _wall, synth, resolve = median_times(run.passes)
+        _pass_s, synth, resolve = median_times(run.passes)
         lines.append("  synthesis and resolve time, median over passes:")
         for method in workloads.METHODS:
             if method in synth:
@@ -297,16 +301,19 @@ def main(argv=None):
 
     run = Run(args.workload, args.seed)
     absent = []
+    last = 0.0
     if args.trace:
         plain, traced = [], []
-        for _ in range(MIN_PASSES):
+        while not traced or run.elapsed() < args.seconds:
+            if traced and run.remaining() < 2 * last + 20:
+                break
+            started = time.monotonic()
             plain.append(run.one())
             traced.append(run.one(traced=True))
+            last = time.monotonic() - started
         metrics, absent = per_layer(plain, traced)
     else:
-        measured = 0.0
-        last = 0.0
-        while len(run.passes) < MIN_PASSES or measured < args.seconds:
+        while len(run.passes) < MIN_PASSES or run.elapsed() < args.seconds:
             if run.passes and run.remaining() < 2 * last + 20:
                 break
             started = time.monotonic()
@@ -314,7 +321,6 @@ def main(argv=None):
             last = time.monotonic() - started
             if done.summary is None:
                 break
-            measured += done.summary["wall_s"]
         for _ in range(SETUP_ONLY_STARTS):
             run.setup_only()
         metrics = end_to_end(run)

@@ -56,7 +56,7 @@ def test_traced_counts_repeat_for_a_seed(workload):
     assert first["span_calls"].get("boolean.espresso", 0) == first["layers"][
         "boolean.espresso_calls"
     ]
-    assert first["layers"]["obs.unattributed_s"] < 0.05 * first["wall_s"]
+    assert first["layers"]["obs.unattributed_s"] < 0.05 * first["pass_s"]
 
 
 def test_seed_permutes_jobs():

@@ -8,11 +8,11 @@ synthesise it:
 * ``table1``: the 21 Table 1 stand-ins.  unfolding-approx and sg-bdd run on
   all of them; unfolding-exact and sg-explicit on the 17 with at most 14
   signals.  One job per (spec, method).
-* ``muller``: ``muller_pipeline(8)`` (1,024 states) with all four methods.
+* ``muller``: Muller pipelines.  ``muller_pipeline(8)`` (1,024 states)
+  with all four methods, sg-bdd on ``muller_pipeline(10)`` (4,096 states)
+  and unfolding-approx on ``muller_pipeline(11)`` (8,192 states).
 * ``csc``: four CSC-conflicting specs.  One job per spec: ``resolve_csc``,
   then unfolding-approx, sg-explicit and sg-bdd on the resolved spec.
-* ``scale``: the largest specs: sg-bdd on ``muller_pipeline(10)`` (4,096
-  states) and unfolding-approx on ``muller_pipeline(11)`` (8,192 states).
 
 The approx circuit of every job is conformance-simulated.  This module is
 plain data: it imports nothing from the program, so the runner can count a
@@ -72,7 +72,7 @@ TABLE1_SPECS = (
 
 CSC_SPECS = ("vme_read", "csc_arbiter_6", "csc_arbiter_8", "csc_arbiter_10")
 
-WORKLOADS = ("table1", "muller", "csc", "scale")
+WORKLOADS = ("table1", "muller", "csc")
 
 EXPECTED_LITERALS_FILE = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "expected_literals.json"
@@ -112,11 +112,12 @@ def _base_jobs(workload):
                 jobs.append(Job(spec, [EXPLICIT]))
         return jobs
     if workload == "muller":
-        return [Job("muller_pipeline_8", [method]) for method in METHODS]
+        return [Job("muller_pipeline_8", [method]) for method in METHODS] + [
+            Job("muller_pipeline_10", [BDD]),
+            Job("muller_pipeline_11", [APPROX]),
+        ]
     if workload == "csc":
         return [Job(spec, [APPROX, EXPLICIT, BDD], resolve=True) for spec in CSC_SPECS]
-    if workload == "scale":
-        return [Job("muller_pipeline_10", [BDD]), Job("muller_pipeline_11", [APPROX])]
     raise KeyError("unknown workload %r (choose from %s)" % (workload, ", ".join(WORKLOADS)))
 
 
