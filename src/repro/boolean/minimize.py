@@ -78,7 +78,8 @@ def espresso(
 
     ``kernel`` selects the cover engine backend (``"auto"`` / ``"numpy"`` /
     ``"python"``, see :func:`repro.kernel.resolve_kernel`): under numpy the
-    expand/irredundant/reduce passes run over uint64 cube matrices.  Both
+    irredundant/reduce passes and the complement run over uint64 cube
+    matrices; EXPAND is the python blocking-set scan on every kernel.  Both
     backends produce the identical :class:`MinimizationResult` -- same
     cubes, same order, same iteration count.
     """
@@ -105,12 +106,14 @@ def espresso(
     # run, so grown cubes are memoised across phases: the post-irredundant
     # expand of each iteration mostly re-expands already-maximal cubes.
     expand_cache: Dict[Tuple[int, int], Cube] = {}
+    obs = current_tracer()
+    expand_stats = [0, 0] if obs.enabled else None
     for _ in range(max_iterations):
         iterations += 1
-        current = _expand(current, off, kernel, expand_cache)
+        current = _expand(current, off, expand_cache, expand_stats)
         current = _irredundant_care(current, care_on, dc, kernel)
         current = _reduce(current, dc, kernel)
-        current = _expand(current, off, kernel, expand_cache)
+        current = _expand(current, off, expand_cache, expand_stats)
         current = _irredundant_care(current, care_on, dc, kernel)
         cost = _cost(current)
         if cost >= previous_cost:
@@ -120,13 +123,14 @@ def espresso(
     # Safety: the minimised cover must still cover the original on-set.
     if not current.union(dc).contains_cover(care_on, kernel=kernel):  # pragma: no cover - guard
         current = care_on.single_cube_containment(kernel=kernel)
-    obs = current_tracer()
     if obs.enabled:
         span = obs.current
         span.counter("espresso_calls")
         span.counter("espresso_iterations", iterations)
         span.counter("espresso_input_cubes", len(on))
         span.counter("espresso_output_cubes", len(current))
+        span.counter("expand_cubes", expand_stats[0])
+        span.counter("expand_literals_dropped", expand_stats[1])
         if _matrix_passes > passes_before:
             span.counter("espresso_matrix_passes", _matrix_passes - passes_before)
     return MinimizationResult(current, iterations, initial_literals)
@@ -252,22 +256,11 @@ def _irredundant_care_matrix(
     return Cover(nvars, [cubes[i] for i in alive])
 
 
-#: Off-set size at which the batched matrix expand takes over from the
-#: scalar scan.  Measured on the table1 covers (off-sets of 9-400 cubes)
-#: and on synthetic minterm off-sets up to 5000 rows, the scalar scan's
-#: early exit wins every time -- most literal drops are blocked by the
-#: first off-cube tested, while the matrix pass always recomputes the
-#: full conflict tensor.  ``None`` therefore disables the matrix expand;
-#: the threshold is algorithmic (both paths produce identical cubes) and
-#: the equivalence suite forces the matrix path by setting it to 0.
-_EXPAND_MIN_OFF: Optional[int] = None
-
-
 def _expand(
     cover: Cover,
     off: Cover,
-    kernel: Optional[str] = None,
     cache: Optional[Dict[Tuple[int, int], Cube]] = None,
+    stats: Optional[List[int]] = None,
 ) -> Cover:
     """Expand every cube maximally without hitting the off-set.
 
@@ -275,12 +268,9 @@ def _expand(
     is idempotent -- a literal whose drop was blocked stays blocked as the
     cube only ever grows -- so every grown cube is also recorded as its
     own expansion, which makes re-expanding an already-maximal cover free.
+    ``stats``, when given, accumulates ``[cubes expanded, literals
+    dropped]`` over the cache misses.
     """
-    matrix = _matrix_kernel(kernel, len(off))
-    if matrix is not None and (
-        _EXPAND_MIN_OFF is None or len(off) < _EXPAND_MIN_OFF
-    ):
-        matrix = None
     if cache is None:
         cache = {}
     ordered = sorted(cover, key=lambda c: -c.num_literals)
@@ -288,25 +278,14 @@ def _expand(
         cube for cube in ordered if (cube.ones, cube.zeros) not in cache
     ]
     if todo:
-        if matrix is not None:
-            global _matrix_passes
-            _matrix_passes += 1
-            off_ones, off_zeros = matrix.pack_cover(off)
-            grown_masks = matrix.expand_cover(
-                cover.nvars,
-                [(c.ones, c.zeros) for c in todo],
-                off_ones,
-                off_zeros,
-            )
-            grown_todo = [
-                Cube(cover.nvars, ones, zeros) for ones, zeros in grown_masks
-            ]
-        else:
-            off_masks = [(c.ones, c.zeros) for c in off]
-            grown_todo = [_expand_cube(cube, off_masks) for cube in todo]
-        for cube, grown in zip(todo, grown_todo):
+        off_masks = [(c.ones, c.zeros) for c in off]
+        for cube in todo:
+            grown = _expand_cube(cube, off_masks)
             cache[(cube.ones, cube.zeros)] = grown
             cache[(grown.ones, grown.zeros)] = grown
+            if stats is not None:
+                stats[0] += 1
+                stats[1] += cube.num_literals - grown.num_literals
     grown_cubes = [cache[(cube.ones, cube.zeros)] for cube in ordered]
 
     expanded: List[Cube] = []
@@ -329,30 +308,32 @@ def _expand(
 
 
 def _expand_cube(cube: Cube, off_masks: Sequence[Tuple[int, int]]) -> Cube:
-    """Remove literals one at a time while the cube stays off-set free.
+    """Remove literals lowest bit first while the cube stays off-set free.
 
-    ``off_masks`` is the off-set as raw ``(ones, zeros)`` pairs; the
-    candidate cube intersects the off-set iff for some pair the combined
-    ones/zeros masks are disjoint, so the whole check is integer ops.
+    ``off_masks`` is the off-set as raw ``(ones, zeros)`` pairs.  This is
+    Espresso's blocking-set form of the greedy ascending scan: an
+    off-cube's conflict set is the set of the cube's literals it
+    contradicts, and the grown cube misses that off-cube iff it keeps one
+    of them.  A blocked drop stays blocked, since later drops only grow
+    the cube, so dropping literal ``l`` (after the lower literals are
+    decided) hits the off-set iff some conflict set with highest bit ``l``
+    shares no literal with those kept below ``l``.  Sorting the distinct
+    conflict sets as integers buckets them by highest bit, in scan order;
+    a literal that tops no conflict set is never blocked.
     """
     ones = cube.ones
     zeros = cube.zeros
-    # One ascending scan suffices: a blocked drop stays blocked, because
-    # later drops only grow the cube and intersection with the off-set is
-    # monotone under growth.
-    mask = ones | zeros
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        cand_ones = ones & ~low
-        cand_zeros = zeros & ~low
-        for off_ones, off_zeros in off_masks:
-            if not ((cand_ones | off_ones) & (cand_zeros | off_zeros)):
-                break  # hits the off-set: keep the literal
-        else:
-            ones = cand_ones
-            zeros = cand_zeros
-    return Cube(cube.nvars, ones, zeros)
+    conflicts = sorted(
+        {(ones & off_zeros) | (zeros & off_ones) for off_ones, off_zeros in off_masks}
+    )
+    if conflicts and not conflicts[0]:
+        return cube  # already meets the off-set: every drop is blocked
+    kept = 0
+    for conflict in conflicts:
+        # Once the top literal is kept, ``conflict & kept`` is non-zero.
+        if not conflict & kept:
+            kept |= 1 << (conflict.bit_length() - 1)
+    return Cube(cube.nvars, ones & kept, zeros & kept)
 
 
 def _reduce(cover: Cover, dc: Cover, kernel: Optional[str] = None) -> Cover:

@@ -100,6 +100,8 @@ def _parse_g(text: str, name: Optional[str], span) -> STG:
         for token in tokens:
             if token not in node_kind:
                 node_kind[token] = _classify(token, stg, dummies)
+                if node_kind[token] == "place" and ("{" in token or "}" in token):
+                    raise ParseError("invalid place name %r in .graph" % token)
 
     # Create transitions first (in order of appearance), then places.
     for tokens in graph_lines:
@@ -201,14 +203,15 @@ def _apply_marking(
     implicit_places: Dict[Tuple[str, str], str],
 ) -> None:
     marked: List[str] = []
-    for token in marking_tokens:
+    for raw in marking_tokens:
+        token = raw
         tokens_count = 1
         if "=" in token and not token.startswith("<"):
             token, count_text = token.split("=", 1)
-            tokens_count = int(count_text)
+            tokens_count = _token_int(count_text, raw)
         elif token.startswith("<") and token.endswith(">") is False and "=" in token:
             token, count_text = token.rsplit("=", 1)
-            tokens_count = int(count_text)
+            tokens_count = _token_int(count_text, raw)
         match = _IMPLICIT_RE.match(token)
         if match:
             key = (match.group("src"), match.group("dst"))
@@ -229,11 +232,19 @@ def _apply_marking(
             stg.net.set_initial_tokens(place, counts.get(place, 0))
 
 
+def _token_int(text: str, token: str) -> int:
+    """The integer after ``=`` in ``token``, or a :class:`ParseError`."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError("malformed value %r in %r" % (text, token)) from None
+
+
 def _apply_initial_state(stg: STG, tokens: Sequence[str]) -> None:
     for token in tokens:
         if "=" in token:
             signal, value = token.split("=", 1)
-            stg.set_initial_value(signal.strip(), int(value))
+            stg.set_initial_value(signal.strip(), _token_int(value, token))
         elif token.startswith("!"):
             stg.set_initial_value(token[1:], 0)
         else:

@@ -15,7 +15,6 @@ import pytest
 
 from repro.boolean import Cover, Cube, espresso
 from repro.boolean import cover as cover_mod
-from repro.boolean import minimize as minimize_mod
 from repro.kernel import HAS_NUMPY
 from repro.stg import csc_arbiter, table1_suite
 
@@ -130,7 +129,6 @@ def test_pack_roundtrip_and_cube_intersection(nvars):
 @pytest.mark.parametrize("nvars", [1, 12])
 def test_espresso_parity_random_with_dc(nvars, monkeypatch):
     monkeypatch.setattr(cover_mod, "_MATRIX_MIN_CUBES", 0)
-    monkeypatch.setattr(minimize_mod, "_EXPAND_MIN_OFF", 0)
     rng = random.Random(300 + nvars)
     for round_ in range(6):
         on = random_cover(rng, nvars, ncubes=rng.randint(1, 8), max_literals=4)
@@ -149,7 +147,6 @@ def test_espresso_parity_wide_with_off(nvars, monkeypatch):
     does) so the workload stays disjoint by construction: on-cubes live in
     the half-space var0=1, blocking cubes in var0=0."""
     monkeypatch.setattr(cover_mod, "_MATRIX_MIN_CUBES", 0)
-    monkeypatch.setattr(minimize_mod, "_EXPAND_MIN_OFF", 0)
     rng = random.Random(400 + nvars)
     for round_ in range(4):
         on = Cover(
@@ -179,7 +176,6 @@ def test_espresso_parity_table1_jobs(monkeypatch):
     from repro.spaces import build_state_space
 
     monkeypatch.setattr(cover_mod, "_MATRIX_MIN_CUBES", 0)
-    monkeypatch.setattr(minimize_mod, "_EXPAND_MIN_OFF", 0)
     entries = [e for e in table1_suite() if e.expected_signals <= 6][:4]
     assert entries, "table1 suite lost its small benchmarks"
     jobs = 0

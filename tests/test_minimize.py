@@ -1,8 +1,12 @@
 """Unit tests for the two-level minimisers."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.boolean import Cover, Cube, espresso, quine_mccluskey
+from repro.boolean.minimize import _expand_cube
+from repro.obs import tracing
 
 
 def cover(*rows):
@@ -91,3 +95,107 @@ def test_espresso_matches_quine_mccluskey_quality_on_small_functions():
     # The heuristic may be slightly worse but never better than exact.
     assert heuristic.literal_count >= exact.literal_count
     assert heuristic.literal_count <= exact.literal_count + 2
+
+
+# ---------------------------------------------------------------------- #
+# EXPAND: the blocking-set scan against the plain ascending scan
+# ---------------------------------------------------------------------- #
+def expand_cube_oracle(cube, off_masks):
+    """Reference EXPAND: try each literal lowest bit first and drop it
+    unless the grown cube then meets some off-cube, re-walking the whole
+    off-set for every literal."""
+    ones = cube.ones
+    zeros = cube.zeros
+    mask = ones | zeros
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        cand_ones = ones & ~low
+        cand_zeros = zeros & ~low
+        for off_ones, off_zeros in off_masks:
+            if not ((cand_ones | off_ones) & (cand_zeros | off_zeros)):
+                break  # hits the off-set: keep the literal
+        else:
+            ones = cand_ones
+            zeros = cand_zeros
+    return Cube(cube.nvars, ones, zeros)
+
+
+EXPAND_WIDTHS = [1, 12, 65, 128]
+
+
+@st.composite
+def cube_masks(draw, nvars):
+    """A random ``(ones, zeros)`` pair binding about ``2**-k`` of the
+    variables for a drawn ``k`` in 0..3 (sparse cubes block less)."""
+    full = (1 << nvars) - 1
+    bound = full
+    for _ in range(draw(st.integers(0, 3))):
+        bound &= draw(st.integers(0, full))
+    polarity = draw(st.integers(0, full))
+    return bound & polarity, bound & ~polarity
+
+
+@st.composite
+def expand_cases(draw):
+    nvars = draw(st.sampled_from(EXPAND_WIDTHS))
+    ones, zeros = draw(cube_masks(nvars))
+    # Off-cubes drawn from a small pool, so duplicates are common.
+    pool = draw(st.lists(cube_masks(nvars), min_size=1, max_size=6))
+    off = draw(st.lists(st.sampled_from(pool), max_size=12))
+    if draw(st.booleans()):
+        # A supercube of the cube: the off-set already meets it.
+        keep = draw(st.integers(0, (1 << nvars) - 1))
+        off.insert(draw(st.integers(0, len(off))), (ones & keep, zeros & keep))
+    return Cube(nvars, ones, zeros), off
+
+
+@settings(max_examples=300, deadline=None)
+@given(expand_cases())
+def test_expand_cube_matches_ascending_scan(case):
+    cube, off = case
+    grown = _expand_cube(cube, off)
+    expected = expand_cube_oracle(cube, off)
+    assert (grown.ones, grown.zeros) == (expected.ones, expected.zeros)
+
+
+@pytest.mark.parametrize("nvars", EXPAND_WIDTHS)
+def test_expand_cube_edge_cases(nvars):
+    ones = ((1 << nvars) - 1) & int("01" * 64, 2)
+    zeros = (1 << nvars) - 1 & ~ones
+    cube = Cube(nvars, ones, zeros)
+    cases = [
+        # Empty off-set: every literal drops.
+        ([], Cube.full(nvars)),
+        # An off-cube that meets the cube: nothing drops.
+        ([(0, zeros)], cube),
+        ([(ones, zeros), (ones, zeros)], cube),
+    ]
+    if nvars > 1:
+        # Duplicated blocking off-cube contradicting only the top literal:
+        # that literal is the one kept.
+        top = 1 << (nvars - 1)
+        off = [(zeros & top, ones & top)] * 3
+        cases.append((off, Cube(nvars, ones & top, zeros & top)))
+    for off, expected in cases:
+        for grown in (_expand_cube(cube, off), expand_cube_oracle(cube, off)):
+            assert (grown.ones, grown.zeros) == (expected.ones, expected.zeros)
+
+
+def test_espresso_expand_counters_are_deterministic():
+    on = cover("0000", "0001", "0011", "0111", "1111", "1000")
+    dc = cover("1100")
+    counts = []
+    for _ in range(2):
+        with tracing("espresso") as tracer:
+            espresso(on, dc)
+        counts.append(
+            (
+                tracer.root.counters["expand_cubes"],
+                tracer.root.counters["expand_literals_dropped"],
+            )
+        )
+    assert counts[0] == counts[1]
+    expanded, dropped = counts[0]
+    assert expanded >= len(on)
+    assert 0 < dropped <= on.literal_count

@@ -1,5 +1,7 @@
 """Unit tests for the STG model, the .g parser/writer and consistency."""
 
+import re
+
 import pytest
 
 from repro.stg import (
@@ -12,6 +14,7 @@ from repro.stg import (
     parse_g,
     write_g,
 )
+from repro.stg.parser import ParseError
 
 
 def test_signal_transition_parsing():
@@ -145,6 +148,34 @@ b- p0
     stg = parse_g(text)
     assert len(stg.transitions_of_signal("x")) == 3
     assert stg.net.has_place("p0")
+
+
+def _small_with(initial_state="req=0 ack=0", arc="ack- req+", marking="<ack-,req+>"):
+    return VME_LIKE.replace("req=0 ack=0", initial_state).replace(
+        "ack- req+", arc
+    ).replace("<ack-,req+>", marking)
+
+
+@pytest.mark.parametrize(
+    "initial_state, bad_token",
+    [("req=x ack=0", "req=x"), ("req= ack=0", "req="), ("req=0 ack=1.5", "ack=1.5")],
+)
+def test_parse_rejects_malformed_initial_value(initial_state, bad_token):
+    with pytest.raises(ParseError, match=re.escape(repr(bad_token))):
+        parse_g(_small_with(initial_state=initial_state))
+
+
+def test_parse_rejects_malformed_marking_count():
+    text = _small_with(arc="ack- p0\np0 req+", marking="p0=x")
+    with pytest.raises(ParseError, match="'p0=x'"):
+        parse_g(text)
+
+
+@pytest.mark.parametrize("brace", ["{", "}"])
+def test_parse_rejects_brace_as_place_name(brace):
+    text = _small_with(arc="ack- %s\n%s req+" % (brace, brace), marking=brace)
+    with pytest.raises(ParseError, match="place name"):
+        parse_g(text)
 
 
 def test_writer_roundtrip_preserves_behaviour():
