@@ -21,61 +21,34 @@ Engine structure
   for pipeline-shaped specifications).  When the primed block is enabled,
   each variable's primed twin sits directly below it, so the
   current<->primed rename of the code-equality product is order-preserving.
-* **Saturation fixed point** (the default) -- the partitioned relations
-  are grouped by the topmost variable they touch and each group is
-  saturated (fired to a local fixed point) deepest-first before shallower
-  groups propagate, restarting from the deepest group whenever a shallow
-  firing may have re-enabled one below it.  Firing a transition to
-  exhaustion while the affected sub-BDDs are still small is the classic
-  saturation lever: the intermediate BDDs stay near their final shape
-  instead of ballooning per global pass.  Between group saturations the
-  engine checkpoints the manager -- mark-and-sweep garbage collection once
-  the store doubles past a threshold, and group-sifting reordering (primed
-  twins welded together) when the *live* size keeps growing -- so peak
-  node counts track the problem, not the churn.
-* **Chaining fixed point** (``fixpoint="chaining"``) -- the historical
-  reference loop: within one pass over the transitions the freshly
-  produced states are fed straight back into the next image, which
+* **Chaining fixed point** -- within one pass over the transitions the
+  freshly produced states are fed straight back into the next image, which
   converges in ~pipeline-depth passes on marked-graph specifications
-  instead of one pass per BFS layer.  It runs without GC or reordering,
-  byte-for-byte as before, and is what the saturation path is checked
-  against.
+  instead of one pass per BFS layer.  There is no garbage collection or
+  variable reordering: the node store only grows, so the operation caches
+  stay valid and warm across the whole fixed point (a collection would
+  have to clear them, and on the benchmark specs that costs more than the
+  dead nodes do).
 
-:class:`SymbolicReachability` keeps the historical marking-only API (used
-by the net-level tests); :class:`SymbolicNet` is the full engine consumed
-by :class:`repro.spaces.SymbolicStateSpace`.
+:class:`SymbolicNet` is the full engine consumed by
+:class:`repro.spaces.SymbolicStateSpace`; ``SymbolicNet(net)`` without an
+STG explores markings only.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence
 
 from ..obs import current_tracer
-from ..petrinet import Marking, PetriNet, StateSpaceLimitExceeded
+from ..petrinet import PetriNet, StateSpaceLimitExceeded
 from .manager import BDD
 
-__all__ = [
-    "FIXPOINTS",
-    "SymbolicNet",
-    "SymbolicReachability",
-    "symbolic_reachable_markings",
-    "count_reachable_markings",
-]
+__all__ = ["SymbolicNet"]
 
 _PLACE = "p:"
 _PLACE_PRIMED = "p':"
 _SIGNAL = "s:"
 _SIGNAL_PRIMED = "s':"
-
-#: Store-size floors for the saturation path's maintenance checkpoint.
-#: GC fires when the node store outgrows the threshold; reordering when
-#: the *live* count after GC still exceeds its own.  Both double to twice
-#: the surviving live size after every run, so maintenance cost stays
-#: amortised against real growth instead of firing on every checkpoint.
-_GC_THRESHOLD = 4096
-_REORDER_THRESHOLD = 8192
-
-FIXPOINTS = ("saturation", "chaining")
 
 
 class SymbolicNet:
@@ -91,21 +64,12 @@ class SymbolicNet:
         variable block (for the code-equality products of the USC/CSC
         checks) is allocated.
     max_iterations:
-        Bound on the number of passes of the fixed point (chaining passes,
-        or outer saturation rounds).
+        Bound on the number of chaining passes of the fixed point.
     max_states:
         Optional bound on the number of reachable states; exceeding it
         raises :class:`~repro.petrinet.StateSpaceLimitExceeded` (checked by
-        a symbolic count after every chaining pass / group saturation -- no
-        state is ever enumerated).
-    fixpoint:
-        ``"saturation"`` (default) fires each level-grouped partition to a
-        local fixed point deepest-first with GC/reorder checkpoints;
-        ``"chaining"`` is the historical reference loop, untouched by
-        manager maintenance.
-    dynamic_reorder:
-        Whether the saturation path may sift variables when the live node
-        count keeps growing after GC (ignored under ``"chaining"``).
+        a symbolic count after every chaining pass -- no state is ever
+        enumerated).
     """
 
     def __init__(
@@ -114,25 +78,12 @@ class SymbolicNet:
         stg=None,
         max_iterations: Optional[int] = None,
         max_states: Optional[int] = None,
-        fixpoint: str = "saturation",
-        dynamic_reorder: bool = True,
     ) -> None:
-        if fixpoint not in FIXPOINTS:
-            raise ValueError(
-                "unknown fixpoint %r (expected one of %s)"
-                % (fixpoint, ", ".join(FIXPOINTS))
-            )
         self.net = net
         self.stg = stg
         self.max_iterations = max_iterations
         self.max_states = max_states
-        self.fixpoint = fixpoint
-        self.dynamic_reorder = dynamic_reorder
         self.iterations = 0
-        self.saturation_fires = 0
-        self.peak_nodes = 0
-        self._gc_threshold = _GC_THRESHOLD
-        self._reorder_threshold = _REORDER_THRESHOLD
         self.places: List[str] = list(net.places)
         self.signals: List[str] = list(stg.signals) if stg is not None else []
         self.primed = stg is not None
@@ -270,34 +221,19 @@ class SymbolicNet:
         if obs.enabled:
             bdd.enable_stats()
         with obs.span("reachability", engine="bdd", net=self.net.name) as span:
-            if self.fixpoint == "saturation":
-                reached = self._saturation_fixpoint(span)
-            else:
-                reached = self._chaining_fixpoint(span)
+            reached = self._chaining_fixpoint(span)
             self._reached = reached
-            if bdd.num_nodes > self.peak_nodes:
-                self.peak_nodes = bdd.num_nodes
             if span.live:
                 span.gauge("fixpoint_passes", self.iterations)
                 span.gauge("bdd_nodes", bdd.num_nodes)
                 span.gauge("bdd_variables", len(bdd.variables))
-                span.gauge("peak_nodes", self.peak_nodes)
-                if self.fixpoint == "saturation":
-                    span.counter("saturation_fires", self.saturation_fires)
-                    span.counter("gc_runs", bdd.gc_runs)
-                    span.counter("nodes_reclaimed", bdd.nodes_reclaimed)
-                    span.counter("reorder_passes", bdd.reorder_passes)
                 for key, value in bdd.stats().items():
                     if key.endswith(("_lookups", "_hits", "_entries")):
                         span.gauge(key, value)
         return reached
 
     def _chaining_fixpoint(self, span) -> int:
-        """Reference loop: chained passes over all partitioned relations.
-
-        Runs with no garbage collection and no reordering, exactly as the
-        engine always has -- the saturation path is validated against it.
-        """
+        """Chained passes over all partitioned relations until none adds a state."""
         bdd = self.bdd
         reached = self._initial
         ntrans = len(self.transitions)
@@ -327,163 +263,6 @@ class SymbolicNet:
         return reached
 
     # ------------------------------------------------------------------ #
-    # Saturation fixed point with manager maintenance
-    # ------------------------------------------------------------------ #
-    def _saturation_groups(self) -> List[List[int]]:
-        """Transition indices grouped by topmost touched level, deepest first.
-
-        A transition's *top* is the smallest level among its changed
-        variables -- the point closest to the root where its relational
-        product starts rewriting the characteristic function.  Grouping by
-        that level and saturating the deepest groups (largest top level)
-        first keeps rewrites local to small sub-BDDs near the terminals
-        before anything shallower stirs the function near the root.
-        """
-        level = self.bdd._level
-        groups: Dict[int, List[int]] = {}
-        for index in range(len(self.transitions)):
-            top = min(level[name] for name in self._changed[index])
-            groups.setdefault(top, []).append(index)
-        return [groups[top] for top in sorted(groups, reverse=True)]
-
-    def _twin_groups(self) -> Optional[List[List[str]]]:
-        """Sifting groups welding every variable to its primed twin.
-
-        ``and_exists`` relational products and the order-preserving
-        ``rename`` both rely on each primed variable sitting directly
-        below its unprimed twin, so reordering must move the pair as one
-        rigid block.  Without a primed block every variable may sift
-        freely.
-        """
-        if not self.primed:
-            return None
-        groups = [[_PLACE + p, _PLACE_PRIMED + p] for p in self.places]
-        groups.extend([_SIGNAL + s, _SIGNAL_PRIMED + s] for s in self.signals)
-        return groups
-
-    def _held_ids(self) -> List[int]:
-        """Every node id this engine holds across maintenance."""
-        ids = [self._initial]
-        ids.extend(self._enable)
-        ids.extend(self._update)
-        ids.extend(self._unsafe_or)
-        ids.extend(self._wrong_value)
-        if self._reached is not None:
-            ids.append(self._reached)
-        return ids
-
-    def _collect(self, *extra: int) -> Tuple[int, ...]:
-        """GC with the compiled relations as roots; rewrite all held ids."""
-        remap = self.bdd.collect_garbage(self._held_ids() + list(extra))
-        self._initial = remap[self._initial]
-        self._enable = [remap[f] for f in self._enable]
-        self._update = [remap[f] for f in self._update]
-        self._unsafe_or = [remap[f] for f in self._unsafe_or]
-        self._wrong_value = [remap[f] for f in self._wrong_value]
-        if self._reached is not None:
-            self._reached = remap[self._reached]
-        return tuple(remap[f] for f in extra)
-
-    def _maintain(
-        self, reached: int, groups: List[List[int]]
-    ) -> Tuple[int, List[List[int]]]:
-        """Checkpoint the manager between group saturations.
-
-        GC once the store doubles past the threshold; if the *live* count
-        after GC still exceeds the reorder threshold, sift (primed twins
-        welded), then GC again to drop the nodes sifting left dead.  After
-        a reorder the saturation groups are rebuilt -- their level keys
-        are stale.  Thresholds double to twice the surviving size.
-        """
-        bdd = self.bdd
-        if bdd.num_nodes > self.peak_nodes:
-            self.peak_nodes = bdd.num_nodes
-        if bdd.num_nodes <= self._gc_threshold:
-            return reached, groups
-        # Rebuilding the store clears the memo caches, so only do it when a
-        # decent fraction of the store is actually dead; otherwise let it
-        # grow and check again at twice the size.  Both thresholds double
-        # monotonically, so each maintenance flavour runs O(log peak) times
-        # per fixed point instead of once per group saturation.
-        live = bdd.num_live_nodes(self._held_ids() + [reached])
-        if 4 * live <= 3 * bdd.num_nodes:
-            (reached,) = self._collect(reached)
-        if self.dynamic_reorder and live > self._reorder_threshold:
-            bdd.reorder(roots=self._held_ids() + [reached], groups=self._twin_groups())
-            (reached,) = self._collect(reached)
-            self._reorder_threshold = max(2 * self._reorder_threshold, 2 * bdd.num_nodes)
-            groups = self._saturation_groups()
-        self._gc_threshold = max(2 * self._gc_threshold, 2 * bdd.num_nodes)
-        return reached, groups
-
-    def _saturation_fixpoint(self, span) -> int:
-        """Saturate level groups deepest-first, restarting on re-enabling.
-
-        Each group of transitions is fired to a local fixed point; when a
-        group above the deepest one fires, the new states may re-enable
-        transitions below it, so the round restarts from the deepest
-        group.  An outer round with no firing anywhere is the global fixed
-        point.  ``iterations`` counts outer rounds (mirroring the chaining
-        pass count), ``saturation_fires`` counts group saturations that
-        produced new states.
-        """
-        bdd = self.bdd
-        reached = self._initial
-        groups = self._saturation_groups()
-        self.iterations = 0
-        self.saturation_fires = 0
-        images = 0
-        # ``version`` stamps every change of the reached set; a group whose
-        # stamp matches is still saturated with respect to the current set
-        # and is skipped without touching the manager, so restarting from
-        # the deepest group costs nothing for groups nothing re-enabled.
-        version = 0
-        saturated = [-1] * len(groups)
-        progress = True
-        while progress:
-            self.iterations += 1
-            self._check_iterations()
-            progress = False
-            for position, group in enumerate(groups):
-                if saturated[position] == version:
-                    continue
-                fired = False
-                local = True
-                while local:
-                    local = False
-                    for index in group:
-                        img = self.image(reached, index)
-                        images += 1
-                        if img == bdd.FALSE:
-                            continue
-                        union = bdd.disj(reached, img)
-                        if union != reached:
-                            reached = union
-                            version += 1
-                            local = True
-                            fired = True
-                saturated[position] = version
-                if fired:
-                    progress = True
-                    self.saturation_fires += 1
-                    self._check_states(reached)
-                    reached, regrouped = self._maintain(reached, groups)
-                    if regrouped is not groups:
-                        # Reordered: level keys moved, so the group list was
-                        # rebuilt and every stamp is stale.
-                        groups = regrouped
-                        saturated = [-1] * len(groups)
-                        break
-                    if position > 0:
-                        break  # may have re-enabled a deeper group: restart
-            if span.live:
-                # Per-round fixpoint stats, mirroring the chaining path.
-                span.append("pass_nodes", bdd.num_nodes)
-        if span.live:
-            span.counter("images_computed", images)
-        return reached
-
-    # ------------------------------------------------------------------ #
     # Incremental seeding
     # ------------------------------------------------------------------ #
     def seed_states(self, states: int) -> None:
@@ -492,7 +271,7 @@ class SymbolicNet:
         Must run before :meth:`reachable_set` first computes.  Seeding with
         states that are provably reachable cannot change the fixed point
         (``closure(initial | S) == closure(initial)`` whenever ``S`` is a
-        subset of the closure); it only starts the saturation deeper in the
+        subset of the closure); it only starts the fixed point deeper in the
         graph, which is the whole point of the incremental path.  Seeding
         *unreachable* states would make the result a strict superset -- the
         caller owns that proof obligation.
@@ -646,63 +425,3 @@ class SymbolicNet:
             len(self.signals),
             self.bdd.num_nodes,
         )
-
-
-class SymbolicReachability:
-    """Marking-only symbolic reachability (the historical net-level API)."""
-
-    def __init__(
-        self,
-        net: PetriNet,
-        max_iterations: Optional[int] = None,
-        fixpoint: str = "saturation",
-    ) -> None:
-        self.net = net
-        self.places: List[str] = list(net.places)
-        self._engine = SymbolicNet(net, max_iterations=max_iterations, fixpoint=fixpoint)
-        self.bdd = self._engine.bdd
-        self.max_iterations = max_iterations
-
-    @property
-    def iterations(self) -> int:
-        return self._engine.iterations
-
-    def encode_marking(self, marking: Marking) -> int:
-        """BDD of a single (safe) marking."""
-        assignment = {_PLACE + place: (marking[place] > 0) for place in self.places}
-        return self.bdd.cube(assignment)
-
-    def reachable_set(self) -> int:
-        """BDD of all reachable markings (least fixed point)."""
-        return self._engine.reachable_set()
-
-    def count(self) -> int:
-        """Number of reachable markings."""
-        return self._engine.count_markings()
-
-    def markings(self) -> List[FrozenSet[str]]:
-        """Explicit list of reachable markings (sets of marked places)."""
-        reachable = self.reachable_set()
-        result: List[FrozenSet[str]] = []
-        for assignment in self.bdd.satisfying_assignments(reachable):
-            result.append(
-                frozenset(
-                    name[len(_PLACE):] for name, value in assignment.items() if value
-                )
-            )
-        return result
-
-    def contains(self, marking: Marking) -> bool:
-        """Membership test for a marking."""
-        assignment = {_PLACE + place: (marking[place] > 0) for place in self.places}
-        return self.bdd.evaluate(self.reachable_set(), assignment)
-
-
-def symbolic_reachable_markings(net: PetriNet) -> List[FrozenSet[str]]:
-    """Convenience wrapper returning the reachable markings of a safe net."""
-    return SymbolicReachability(net).markings()
-
-
-def count_reachable_markings(net: PetriNet) -> int:
-    """Count reachable markings without enumerating them explicitly."""
-    return SymbolicReachability(net).count()

@@ -18,9 +18,9 @@ constructive paths (complement's recursion order, single-cube
 containment's stable sort) replicate the reference's
 control flow and vectorise only the representation-independent inner checks.
 
-The word-row helpers at the bottom (:func:`pack_row`, :func:`row_int`,
-:func:`iter_row_bits`, :class:`RowMatrix`) are shared with the unfolder's
-co-row joins and the multi-word code matrices in :mod:`repro.kernel.bitset`.
+The word-row helpers :func:`pack_row` and :func:`row_int` move a single
+python-int cube in and out of a ``(words,)`` uint64 row; the cover engine
+uses them to test one cube against a packed cover.
 
 Everything assumes numpy is importable; callers gate through
 :func:`repro.kernel.resolve_kernel` first.
@@ -38,7 +38,6 @@ __all__ = [
     "words_for",
     "pack_row",
     "row_int",
-    "iter_row_bits",
     "pack_pairs",
     "pack_cover",
     "unpack_cover",
@@ -53,7 +52,6 @@ __all__ = [
     "bounding_difference",
     "single_cube_containment_cover",
     "complement_cover",
-    "RowMatrix",
 ]
 
 _WORD = 64
@@ -89,17 +87,6 @@ def row_int(row) -> int:
     for index in range(len(row)):
         value |= int(row[index]) << (index * _WORD)
     return value
-
-
-def iter_row_bits(row):
-    """Yield the set-bit positions of a uint64 row in ascending order."""
-    for index in range(len(row)):
-        word = int(row[index])
-        base = index * _WORD
-        while word:
-            low = word & -word
-            yield base + low.bit_length() - 1
-            word ^= low
 
 
 def pack_pairs(pairs: Sequence[Tuple[int, int]], words: int):
@@ -676,86 +663,3 @@ def _complement_pairs(nvars, pairs, ctx_ones, ctx_zeros, pieces):
             else _cofactor_pairs(pairs, 0, bit)
         )
         _complement_pairs(nvars, branch, branch_ctx[0], branch_ctx[1], pieces)
-
-
-# ---------------------------------------------------------------------- #
-# Growable row matrices (shared by the unfolder's co-row joins)
-# ---------------------------------------------------------------------- #
-class RowMatrix:
-    """A growable ``(rows, words)`` uint64 bitset matrix.
-
-    Mirrors a list of python-int bit rows (the unfolder's ``co_masks``,
-    ``conditions_by_place`` and ``dead_mask``) so that row intersections
-    and bulk updates run as word operations.  Rows address *bit columns*
-    up to ``capacity_bits``; both dimensions grow by doubling.
-    """
-
-    __slots__ = ("words", "_rows", "count")
-
-    def __init__(self, words: int = 1, capacity: int = 16) -> None:
-        _require_numpy()
-        self.words = words
-        self._rows = np.zeros((capacity, words), dtype=np.uint64)
-        self.count = 0
-
-    def _grow_words(self, words: int) -> None:
-        extra = np.zeros((len(self._rows), words - self.words), dtype=np.uint64)
-        self._rows = np.concatenate([self._rows, extra], axis=1)
-        self.words = words
-
-    def ensure_bit(self, bit: int) -> None:
-        """Make sure every row can address bit column ``bit``."""
-        needed = bit // _WORD + 1
-        if needed > self.words:
-            self._grow_words(max(needed, 2 * self.words))
-
-    def append(self, value: int = 0) -> int:
-        """Append a row initialised from a python int; returns its index."""
-        if value:
-            self.ensure_bit(value.bit_length() - 1)
-        if self.count == len(self._rows):
-            extra = np.zeros_like(self._rows)
-            self._rows = np.concatenate([self._rows, extra], axis=0)
-        self._rows[self.count] = pack_row(value, self.words)
-        self.count += 1
-        return self.count - 1
-
-    def row(self, index: int):
-        return self._rows[index]
-
-    def row_value(self, index: int) -> int:
-        return row_int(self._rows[index])
-
-    def or_into(self, index: int, row) -> None:
-        self._rows[index] |= row
-
-    def or_bit(self, index: int, bit: int) -> None:
-        self.ensure_bit(bit)
-        self._rows[index, bit // _WORD] |= np.uint64(1 << (bit % _WORD))
-
-    def or_rows(self, indices, row) -> None:
-        """OR one row into several rows at once."""
-        np.bitwise_or.at(self._rows, (np.asarray(indices, dtype=np.intp),), row)
-
-    def and_not_bit(self, index: int, bit: int) -> None:
-        self.ensure_bit(bit)
-        self._rows[index, bit // _WORD] &= ~np.uint64(1 << (bit % _WORD))
-
-    def zero_row(self) -> object:
-        return np.zeros(self.words, dtype=np.uint64)
-
-    def bit_row(self, bit: int):
-        self.ensure_bit(bit)
-        row = np.zeros(self.words, dtype=np.uint64)
-        row[bit // _WORD] = np.uint64(1 << (bit % _WORD))
-        return row
-
-    def match_words(self, row):
-        """Pad or trim a foreign row to this matrix's word count."""
-        if len(row) == self.words:
-            return row
-        if len(row) < self.words:
-            padded = np.zeros(self.words, dtype=np.uint64)
-            padded[: len(row)] = row
-            return padded
-        return row[: self.words]

@@ -50,8 +50,11 @@ class TrackedMetric:
 
 #: The metrics ``dashboard --check`` guards, with per-metric noise
 #: tolerances.  Wall-clock/throughput metrics get 40-50% (the history is
-#: shared across heterogeneous machines); the saturation peak-node count
-#: is deterministic, so 10% already means a real engine change.
+#: shared across heterogeneous machines); the BDD peak-node count is
+#: deterministic, so 10% already means a real engine change.  The BENCH
+#: section keys ``symbolic_saturation_muller24`` and ``bdd_reorder_muller16``
+#: predate the single chaining fixed point; they keep their names so the
+#: stamped history stays one series.
 TRACKED_METRICS: List[TrackedMetric] = [
     TrackedMetric(
         "muller8_explicit_seconds",
@@ -91,8 +94,8 @@ TRACKED_METRICS: List[TrackedMetric] = [
         ("explicit_kernel_states_per_sec", "numpy", "states_per_sec"),
         "higher", 0.40),
     TrackedMetric(
-        "bdd_peak_nodes_saturation",
-        ("bdd_reorder_muller16", "peak_nodes_saturation"),
+        "bdd_peak_nodes",
+        ("bdd_reorder_muller16", "peak_nodes_chaining"),
         "lower", 0.10),
 ]
 

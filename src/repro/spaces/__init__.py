@@ -40,7 +40,6 @@ def build_state_space(
     packed: Optional[bool] = None,
     max_iterations: Optional[int] = None,
     kernel: Optional[str] = None,
-    fixpoint: str = "saturation",
 ) -> StateSpace:
     """Build the state space of an STG with the requested engine.
 
@@ -49,9 +48,8 @@ def build_state_space(
     solution count after each fixed-point pass).  ``packed`` forces/forbids
     the packed state-graph representation and ``kernel`` selects the BFS /
     coding-sweep backend (``"auto"``/``None``, ``"numpy"``, ``"python"``;
-    explicit engine only); ``max_iterations`` bounds the symbolic fixed
-    point and ``fixpoint`` selects its schedule (``"saturation"`` or the
-    reference ``"chaining"``; symbolic engine only).
+    explicit engine only); ``max_iterations`` bounds the passes of the
+    symbolic fixed point (symbolic engine only).
     """
     if engine == "explicit":
         return ExplicitStateSpace(
@@ -59,9 +57,6 @@ def build_state_space(
         )
     if engine == "bdd":
         return SymbolicStateSpace(
-            stg,
-            max_states=max_states,
-            max_iterations=max_iterations,
-            fixpoint=fixpoint,
+            stg, max_states=max_states, max_iterations=max_iterations
         )
     raise ValueError("unknown state-space engine %r (choose from %s)" % (engine, ENGINES))

@@ -49,8 +49,6 @@ class SymbolicStateSpace(StateSpace):
         stg,
         max_states: Optional[int] = None,
         max_iterations: Optional[int] = None,
-        fixpoint: str = "saturation",
-        dynamic_reorder: bool = True,
         _engine: Optional[SymbolicNet] = None,
     ) -> None:
         super().__init__(stg)
@@ -62,8 +60,6 @@ class SymbolicStateSpace(StateSpace):
             )
         self.max_states = max_states
         self.max_iterations = max_iterations
-        self.fixpoint = fixpoint
-        self.dynamic_reorder = dynamic_reorder
         # ``_engine`` lets apply_insertion hand over a prepared (seeded)
         # engine whose fixed point has not run yet; the tail of __init__
         # is identical either way, so the seeded space answers every
@@ -73,8 +69,6 @@ class SymbolicStateSpace(StateSpace):
             stg=stg,
             max_iterations=max_iterations,
             max_states=max_states,
-            fixpoint=fixpoint,
-            dynamic_reorder=dynamic_reorder,
         )
         self._reached = self._engine.reachable_set()
         self._check_well_formed()
@@ -113,7 +107,7 @@ class SymbolicStateSpace(StateSpace):
         variable pair, the spliced implicit places); the old
         characteristic function's splice frontiers -- ``ER(t_on)`` at
         phase 0, ``ER(t_off)`` at phase 1 -- are transferred across by
-        variable name and unioned into the initial set, so the saturation
+        variable name and unioned into the initial set, so the fixed point
         starts next to the edit instead of from scratch
         (:meth:`repro.bdd.reachability.SymbolicNet.seed_from_insertion`).
         The well-formedness witnesses still run on the result; the edit
@@ -130,8 +124,6 @@ class SymbolicStateSpace(StateSpace):
             stg=stg,
             max_iterations=self.max_iterations,
             max_states=self.max_states,
-            fixpoint=self.fixpoint,
-            dynamic_reorder=self.dynamic_reorder,
         )
         with current_tracer().span(
             "incremental_seed", engine="bdd", stg=stg.name, signal=edit.signal
@@ -144,8 +136,6 @@ class SymbolicStateSpace(StateSpace):
             stg,
             max_states=self.max_states,
             max_iterations=self.max_iterations,
-            fixpoint=self.fixpoint,
-            dynamic_reorder=self.dynamic_reorder,
             _engine=engine,
         )
         space.incremental_stats = {
@@ -157,7 +147,7 @@ class SymbolicStateSpace(StateSpace):
 
     @property
     def iterations(self) -> int:
-        """Passes/rounds of the symbolic fixed point (diagnostics)."""
+        """Chaining passes of the symbolic fixed point (diagnostics)."""
         return self._engine.iterations
 
     @property
@@ -167,20 +157,13 @@ class SymbolicStateSpace(StateSpace):
 
     @property
     def peak_bdd_nodes(self) -> int:
-        """Largest node-store size seen during the fixed point."""
-        return max(self._engine.peak_nodes, self._engine.bdd.num_nodes)
+        """Largest node-store size so far: the store never shrinks."""
+        return self._engine.bdd.num_nodes
 
     @property
     def gc_runs(self) -> int:
-        return self._engine.bdd.gc_runs
-
-    @property
-    def nodes_reclaimed(self) -> int:
-        return self._engine.bdd.nodes_reclaimed
-
-    @property
-    def reorder_passes(self) -> int:
-        return self._engine.bdd.reorder_passes
+        """Always 0: the manager has no garbage collector."""
+        return 0
 
     # ------------------------------------------------------------------ #
     # Size queries

@@ -148,9 +148,8 @@ def synthesize(
     name (``"sg-explicit"`` + ``engine="bdd"`` runs symbolically); the
     unfolding methods ignore it.  ``kernel`` selects the vectorised backend
     everywhere one exists (``"auto"``/``None``, ``"numpy"``, ``"python"``):
-    the explicit engine's BFS / coding sweeps, the espresso cover engine of
-    every method, and (explicit ``"numpy"`` only) the unfolder's co-set
-    joins.
+    the explicit engine's BFS / coding sweeps and the espresso cover engine
+    of every method.
 
     With ``resolve_encoding`` the specification's CSC conflicts are first
     resolved by inserting up to ``max_csc_signals`` internal state signals

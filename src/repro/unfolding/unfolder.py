@@ -37,70 +37,11 @@ from ..core import (
     popcount,
     unpack_code,
 )
-from ..kernel import resolve_kernel
 from ..obs import current_tracer
 from ..stg import STG, STGError
 from .occurrence_net import Condition, Event, OccurrenceNet
 
 __all__ = ["UnfoldingError", "UnfoldingSegment", "unfold"]
-
-
-class _MatrixCoIndex:
-    """uint64 ``RowMatrix`` mirror of the unfolder's co-row joins.
-
-    Maintains, in step with the python-int rows the occurrence net keeps
-    anyway, one concurrency row per condition, one condition row per
-    original place, and the dead (cutoff-postset) row -- all as
-    ``(rows, words)`` uint64 matrices from :mod:`repro.kernel.cubes`.  The
-    possible-extension co-set joins then run as word-wise row ANDs; set
-    bits come back in ascending cid order, so extensions are emitted in
-    exactly the python-int path's order and the segment is bit-identical.
-    """
-
-    def __init__(self) -> None:
-        from ..kernel import cubes
-
-        self._cubes = cubes
-        self.co = cubes.RowMatrix()
-        self.places = cubes.RowMatrix()
-        self.place_rows: Dict[str, int] = {}
-        self.dead = cubes.RowMatrix()
-        self.dead.append(0)
-
-    def iter_bits(self, row):
-        return self._cubes.iter_row_bits(row)
-
-    def attach(self, event: Event, postset: Sequence[Condition]) -> None:
-        """Mirror ``attach_postset``'s co recurrence for the new conditions."""
-        if not postset:
-            return
-        co = self.co
-        co.ensure_bit(postset[-1].cid)
-        if event.preset:
-            shared = co.match_words(co.row(event.preset[0].cid).copy())
-            for condition in event.preset[1:]:
-                shared = shared & co.match_words(co.row(condition.cid))
-        else:
-            shared = co.zero_row()
-        sibling = co.zero_row()
-        for condition in postset:
-            sibling = sibling | co.bit_row(condition.cid)
-        for condition in postset:
-            index = co.append(0)
-            own = co.bit_row(condition.cid)
-            co.or_into(index, shared | (sibling & ~own))
-            row_index = self.place_rows.get(condition.place)
-            if row_index is None:
-                row_index = self.places.append(0)
-                self.place_rows[condition.place] = row_index
-            self.places.or_bit(row_index, condition.cid)
-        earlier = list(self.iter_bits(shared))
-        if earlier:
-            co.or_rows(earlier, sibling)
-
-    def mark_dead(self, postset: Sequence[Condition]) -> None:
-        for condition in postset:
-            self.dead.or_bit(0, condition.cid)
 
 
 class UnfoldingError(STGError):
@@ -371,7 +312,6 @@ def unfold(
     stg: STG,
     max_events: int = 20000,
     check_consistency: bool = True,
-    kernel: Optional[str] = None,
 ) -> UnfoldingSegment:
     """Build the STG-unfolding segment of a (safe, consistent) STG.
 
@@ -386,16 +326,9 @@ def unfold(
     check_consistency:
         When True (default), an event violating consistent state assignment
         aborts the construction with :class:`UnfoldingError`.
-    kernel:
-        Cover-kernel selection for the possible-extension co-set joins.  An
-        explicit ``"numpy"`` runs them over uint64 row matrices
-        (:class:`_MatrixCoIndex`) -- worthwhile on large segments where the
-        python-int co rows grow to thousands of bits; ``None`` / ``"auto"``
-        / ``"python"`` keep the reference int rows.  Both paths emit
-        extensions in the same order, so the segment is bit-identical.
     """
     with current_tracer().span("unfold", stg=stg.name) as span:
-        return _unfold(stg, max_events, check_consistency, span, kernel)
+        return _unfold(stg, max_events, check_consistency, span)
 
 
 def _unfold(
@@ -403,7 +336,6 @@ def _unfold(
     max_events: int,
     check_consistency: bool,
     span,
-    kernel: Optional[str] = None,
 ) -> UnfoldingSegment:
     if not stg.has_complete_initial_state():
         stg.infer_initial_state()
@@ -439,15 +371,6 @@ def _unfold(
 
     # Per-place mask of the condition instances of that place.
     conditions_by_place: Dict[str, int] = {}
-
-    # Explicit kernel="numpy" mirrors the co rows into uint64 matrices and
-    # runs the co-set joins over them (resolve_kernel raises loudly when
-    # numpy is missing); otherwise the python-int rows are the join index.
-    matrix = (
-        _MatrixCoIndex()
-        if kernel == "numpy" and resolve_kernel(kernel) == "numpy"
-        else None
-    )
 
     co_masks = segment.co_masks
     all_conditions = segment.conditions
@@ -497,35 +420,8 @@ def _unfold(
                 allowed & co_masks[cid],
             )
 
-    def matrix_collect_cosets(
-        transition: str, places: Sequence[str], chosen_mask: int, allowed
-    ) -> None:
-        """The same join as :func:`collect_cosets`, over uint64 row ANDs.
-
-        ``allowed`` is a word row; candidate bits are walked in ascending
-        cid order, so the recursion visits co-sets exactly like the
-        python-int twin and emits identical extensions.
-        """
-        if not places:
-            emit_extension(transition, chosen_mask)
-            return
-        row_index = matrix.place_rows.get(places[0])
-        if row_index is None:
-            return
-        candidates = matrix.co.match_words(matrix.places.row(row_index)) & allowed
-        rest = places[1:]
-        for cid in matrix.iter_bits(candidates):
-            matrix_collect_cosets(
-                transition,
-                rest,
-                chosen_mask | (1 << cid),
-                allowed & matrix.co.row(cid),
-            )
-
     def push_extensions(new_conditions: Sequence[Condition]) -> None:
         """Find possible extensions involving at least one new condition."""
-        if matrix is not None:
-            live_row = ~matrix.co.match_words(matrix.dead.row(0))
         for new_condition in new_conditions:
             bit = 1 << new_condition.cid
             if bit & dead_mask:
@@ -535,24 +431,14 @@ def _unfold(
                     place for place in net.preset(transition)
                     if place != new_condition.place
                 )
-                if matrix is not None:
-                    matrix_collect_cosets(
-                        transition,
-                        other_places,
-                        bit,
-                        matrix.co.row(new_condition.cid) & live_row,
-                    )
-                else:
-                    collect_cosets(
-                        transition,
-                        other_places,
-                        bit,
-                        co_masks[new_condition.cid] & ~dead_mask,
-                    )
+                collect_cosets(
+                    transition,
+                    other_places,
+                    bit,
+                    co_masks[new_condition.cid] & ~dead_mask,
+                )
 
     register_conditions(bottom.postset)
-    if matrix is not None:
-        matrix.attach(bottom, bottom.postset)
     push_extensions(bottom.postset)
 
     while queue:
@@ -591,8 +477,6 @@ def _unfold(
         postset_places = sorted(net.postset(transition))
         postset = segment.attach_postset(event, postset_places)
         register_conditions(postset)
-        if matrix is not None:
-            matrix.attach(event, postset)
 
         cut_mask = segment.config_cut_mask(config_mask)
         marking_word = segment.marking_word_of(cut_mask)
@@ -617,8 +501,6 @@ def _unfold(
 
         if event.is_cutoff:
             dead_mask |= event.postset_mask
-            if matrix is not None:
-                matrix.mark_dead(postset)
         else:
             push_extensions(postset)
 

@@ -11,8 +11,9 @@ import random
 
 import pytest
 
-from repro.bdd import BDD, SymbolicNet, SymbolicReachability, count_reachable_markings, isop
-from repro.petrinet import Marking, explore
+from repro.bdd import BDD, SymbolicNet, isop
+from repro.bdd.manager import _CountingCache
+from repro.petrinet import StateSpaceLimitExceeded, explore
 from repro.stg import muller_pipeline, paper_example
 
 
@@ -268,16 +269,36 @@ def test_isop_rejects_inverted_bounds():
 
 
 def test_symbolic_reachability_matches_explicit():
-    for stg in (paper_example(), muller_pipeline(3)):
-        explicit = explore(stg.net)
-        symbolic = SymbolicReachability(stg.net)
-        assert symbolic.count() == explicit.num_states
-        explicit_markings = {m.places for m in explicit.markings}
-        assert set(symbolic.markings()) == explicit_markings
-        for marking in explicit.markings:
-            assert symbolic.contains(marking)
+    for stg in (paper_example(), muller_pipeline(2), muller_pipeline(3)):
+        assert SymbolicNet(stg.net).count_markings() == explore(stg.net).num_states
 
 
-def test_count_reachable_markings_helper():
-    stg = muller_pipeline(2)
-    assert count_reachable_markings(stg.net) == explore(stg.net).num_states
+def test_fixpoint_respects_max_iterations():
+    stg = muller_pipeline(6)
+    engine = SymbolicNet(stg.net, stg=stg, max_iterations=1)
+    with pytest.raises(RuntimeError):
+        engine.reachable_set()
+
+
+def test_fixpoint_respects_max_states():
+    stg = muller_pipeline(6)
+    engine = SymbolicNet(stg.net, stg=stg, max_states=5)
+    with pytest.raises(StateSpaceLimitExceeded):
+        engine.reachable_set()
+
+
+def test_counting_caches_count_lookups():
+    bdd = BDD(list("abcd"))
+    f = bdd.conj(bdd.var("a"), bdd.var("b"))
+    assert not bdd.stats()["stats_enabled"]
+    bdd.enable_stats()
+    # Swapping in the counting caches keeps what was memoised before.
+    assert isinstance(bdd._ite_cache, _CountingCache)
+    assert bdd.stats()["ite_cache_entries"] > 0
+    g = bdd.disj(f, bdd.var("c"))
+    before = bdd.stats()
+    assert before["stats_enabled"]
+    assert before["ite_cache_lookups"] > 0
+    assert bdd.disj(f, bdd.var("c")) == g  # memoised: a hit
+    after = bdd.stats()
+    assert after["ite_cache_hits"] > before["ite_cache_hits"]

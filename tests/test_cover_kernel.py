@@ -5,8 +5,8 @@ cover operation (complement, single-cube containment, espresso itself)
 reproduces the pure-python reference exactly -- same cubes, same order,
 same iteration counts -- and the predicates agree on every probe.  The
 suite sweeps the word boundaries (1, 12, 64, 65 and 128 variables), real
-Table 1 cover jobs, the >64-signal graph kernel, the memoised ranking
-cache and the unfolder's opt-in matrix co-set joins.
+Table 1 cover jobs, the >64-signal graph kernel and the memoised ranking
+cache.
 """
 
 import random
@@ -265,24 +265,3 @@ def test_ranking_cache_bounded():
             insertion_mod._COST_CACHE.popitem(last=False)
     assert len(insertion_mod._COST_CACHE) <= insertion_mod._COST_CACHE_MAX
     insertion_mod._COST_CACHE.clear()
-
-
-# ---------------------------------------------------------------------- #
-# Unfolder matrix co-set joins (opt-in)
-# ---------------------------------------------------------------------- #
-@requires_numpy
-@pytest.mark.parametrize(
-    "entry",
-    [e for e in table1_suite() if e.expected_signals <= 8][:3],
-    ids=lambda e: e.name,
-)
-def test_unfolder_matrix_joins_bit_identical(entry):
-    from repro.unfolding import reachable_packed_states, unfold
-
-    ref = unfold(entry.build())
-    vec = unfold(entry.build(), kernel="numpy")
-    assert vec.num_events == ref.num_events
-    assert vec.num_conditions == ref.num_conditions
-    assert vec.co_masks == ref.co_masks
-    assert [e.label for e in vec.cutoffs] == [e.label for e in ref.cutoffs]
-    assert reachable_packed_states(vec) == reachable_packed_states(ref)

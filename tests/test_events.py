@@ -262,7 +262,7 @@ def _sentinel_entry(rate=1000.0, seconds=1.0, nodes=50000):
         "explicit_kernel_states_per_sec": {
             "numpy": {"states_per_sec": rate}
         },
-        "bdd_reorder_muller16": {"peak_nodes_saturation": nodes},
+        "bdd_reorder_muller16": {"peak_nodes_chaining": nodes},
     }
 
 
