@@ -273,13 +273,6 @@ def test_symbolic_reachability_matches_explicit():
         assert SymbolicNet(stg.net).count_markings() == explore(stg.net).num_states
 
 
-def test_fixpoint_respects_max_iterations():
-    stg = muller_pipeline(6)
-    engine = SymbolicNet(stg.net, stg=stg, max_iterations=1)
-    with pytest.raises(RuntimeError):
-        engine.reachable_set()
-
-
 def test_fixpoint_respects_max_states():
     stg = muller_pipeline(6)
     engine = SymbolicNet(stg.net, stg=stg, max_states=5)

@@ -1,263 +1,28 @@
-"""BDD storage management: GC, sifting reorder, saturation fixed point.
+"""Iteration budget of the symbolic fixed point.
 
-The manager's maintenance machinery must be invisible to callers: a
-mark-and-sweep pass may renumber nodes but every surviving id (through the
-returned remap) must denote the same Boolean function; a sifting pass may
-permute levels but node ids are preserved outright; and the saturation
-fixed point -- with GC and reorder checkpoints forced at every single
-firing -- must reach exactly the state space of the historical chaining
-loop on every specification we ship.
+``SymbolicNet`` runs one fixed point, the chaining loop; ``max_iterations``
+bounds its passes.  The bound must hold both on the engine itself and
+through :class:`~repro.spaces.SymbolicStateSpace`, which forwards it.
 """
-
-import itertools
 
 import pytest
 
-from repro.bdd.manager import BDD, _CountingCache
-from repro.bdd.reachability import FIXPOINTS, SymbolicNet
-from repro.petrinet import StateSpaceLimitExceeded
-from repro.spaces import SymbolicStateSpace
-from repro.stg import muller_pipeline, table1_suite
+from repro.bdd import SymbolicNet
+from repro.spaces.symbolic import SymbolicStateSpace
+from repro.stg import muller_pipeline
 
 
-def _specs():
-    """(id, builder) pairs: the Table 1 suite plus muller 2..8."""
-    pairs = [(entry.name, entry.build) for entry in table1_suite()]
-    for stages in range(2, 9):
-        pairs.append(
-            ("muller_%d" % stages, lambda stages=stages: muller_pipeline(stages))
-        )
-    return pairs
+def _chaining(stg):
+    SymbolicNet(stg.net, stg=stg, max_iterations=1).reachable_set()
 
 
-SPECS = _specs()
-SPEC_IDS = [spec_id for spec_id, _ in SPECS]
-SPEC_BUILDERS = [builder for _, builder in SPECS]
+def _state_space(stg):
+    SymbolicStateSpace(stg, max_iterations=1)
 
 
-def _assignments(names):
-    for bits in itertools.product((False, True), repeat=len(names)):
-        yield dict(zip(names, bits))
-
-
-def _truth_table(bdd, f, names):
-    return [bdd.evaluate(f, assignment) for assignment in _assignments(names)]
-
-
-# --------------------------------------------------------------------- #
-# Mark-and-sweep GC
-# --------------------------------------------------------------------- #
-def test_collect_garbage_shrinks_store_and_preserves_function():
-    names = list("abcdef")
-    bdd = BDD(names)
-    f = bdd.disj(
-        bdd.conj(bdd.var("a"), bdd.var("b")),
-        bdd.conj(bdd.var("c"), bdd.var("d")),
-    )
-    # Litter the store with dead intermediates.
-    for name in names:
-        bdd.xor(f, bdd.var(name))
-    before = bdd.num_nodes
-    truth = _truth_table(bdd, f, names)
-    remap = bdd.collect_garbage([f])
-    assert bdd.num_nodes < before
-    assert bdd.gc_runs == 1
-    assert bdd.nodes_reclaimed == before - bdd.num_nodes
-    f = remap[f]
-    assert _truth_table(bdd, f, names) == truth
-    # After a sweep everything in the store is live.
-    assert bdd.num_live_nodes([f]) == bdd.num_nodes
-
-
-def test_pinned_roots_survive_and_pins_nest():
-    bdd = BDD(["a", "b", "c"])
-    f = bdd.conj(bdd.var("a"), bdd.var("b"))
-    g = bdd.conj(bdd.var("b"), bdd.var("c"))
-    bdd.pin(f)
-    bdd.pin(f)  # nested pin
-    remap = bdd.collect_garbage()
-    assert f in remap
-    assert g not in remap  # unpinned internal node is swept
-    f = remap[f]
-    bdd.unpin(f)  # one pin left: still a root
-    remap = bdd.collect_garbage()
-    assert f in remap
-    f = remap[f]
-    bdd.unpin(f)
-    remap = bdd.collect_garbage()
-    assert f not in remap
-    with pytest.raises(KeyError):
-        bdd.unpin(f)
-
-
-def test_counting_caches_survive_garbage_collection():
-    bdd = BDD(list("abcd"))
-    f = bdd.conj(bdd.var("a"), bdd.var("b"))
-    bdd.enable_stats()
-    g = bdd.disj(f, bdd.var("c"))
-    before = bdd.stats()
-    assert before["ite_cache_lookups"] > 0
-    remap = bdd.collect_garbage([g])
-    # The swapped-in counting caches keep their identity and totals; only
-    # the memoised entries (now stale ids) are dropped.
-    assert isinstance(bdd._ite_cache, _CountingCache)
-    after = bdd.stats()
-    assert after["stats_enabled"]
-    assert after["ite_cache_lookups"] >= before["ite_cache_lookups"]
-    assert after["ite_cache_entries"] == 0
-    bdd.disj(remap[g], bdd.var("d"))
-    assert bdd.stats()["ite_cache_lookups"] > after["ite_cache_lookups"]
-
-
-# --------------------------------------------------------------------- #
-# Sifting reorder
-# --------------------------------------------------------------------- #
-def _pathological_order(n):
-    """f = OR(x_i & y_i) with all x's above all y's: exponential in n."""
-    bdd = BDD(["x%d" % i for i in range(n)] + ["y%d" % i for i in range(n)])
-    f = bdd.disj_all(
-        bdd.conj(bdd.var("x%d" % i), bdd.var("y%d" % i)) for i in range(n)
-    )
-    return bdd, f
-
-
-def test_reorder_preserves_ids_and_shrinks_pathological_order():
-    bdd, f = _pathological_order(4)
-    names = list(bdd.variables)
-    truth = _truth_table(bdd, f, names)
-    before = bdd.num_live_nodes([f])
-    after = bdd.reorder(roots=[f])
-    assert after < before  # sifting must find a (near-)interleaved order
-    assert bdd.reorder_passes == 1
-    # Node ids are preserved: the *same* id still denotes f.
-    assert _truth_table(bdd, f, names) == truth
-
-
-def test_reorder_keeps_groups_adjacent():
-    # Twin blocks must be adjacent going in; the pass keeps them welded.
-    names = []
-    for i in range(3):
-        names += ["x%d" % i, "y%d" % i]
-    bdd = BDD(names)
-    f = bdd.disj_all(
-        bdd.conj(bdd.var("x%d" % i), bdd.var("y%d" % i)) for i in range(3)
-    )
-    groups = [["x%d" % i, "y%d" % i] for i in range(3)]
-    truth = _truth_table(bdd, f, list(bdd.variables))
-    bdd.reorder(roots=[f], groups=[list(g) for g in groups])
-    for pair in groups:
-        positions = sorted(bdd.variables.index(name) for name in pair)
-        assert positions[1] - positions[0] == 1
-    assert _truth_table(bdd, f, list(bdd.variables)) == truth
-
-
-def test_reorder_rejects_non_contiguous_group():
-    bdd = BDD(["a", "b", "c"])
-    f = bdd.conj(bdd.var("a"), bdd.var("c"))
-    with pytest.raises(ValueError):
-        bdd.reorder(roots=[f], groups=[["a", "c"]])
-
-
-def test_gc_after_reorder_roundtrip():
-    # Reorder leaves ids non-topological; the GC's post-order mark must
-    # still rebuild a correct store afterwards.
-    bdd, f = _pathological_order(4)
-    names = list(bdd.variables)
-    truth = _truth_table(bdd, f, names)
-    bdd.reorder(roots=[f])
-    remap = bdd.collect_garbage([f])
-    f = remap[f]
-    assert _truth_table(bdd, f, names) == truth
-    assert bdd.num_live_nodes([f]) == bdd.num_nodes
-
-
-# --------------------------------------------------------------------- #
-# Saturation vs chaining fixed point
-# --------------------------------------------------------------------- #
-def test_unknown_fixpoint_rejected():
-    stg = muller_pipeline(2)
-    with pytest.raises(ValueError):
-        SymbolicNet(stg.net, stg=stg, fixpoint="jacobi")
-    assert set(FIXPOINTS) == {"saturation", "chaining"}
-
-
-@pytest.mark.parametrize("builder", SPEC_BUILDERS, ids=SPEC_IDS)
-def test_saturation_matches_chaining(builder):
-    stg = builder()
-    saturation = SymbolicNet(stg.net, stg=stg, fixpoint="saturation")
-    chaining = SymbolicNet(stg.net, stg=stg, fixpoint="chaining")
-    saturation.reachable_set()
-    chaining.reachable_set()
-    assert saturation.count_states() == chaining.count_states()
-    assert saturation.count_markings() == chaining.count_markings()
-
-
-@pytest.mark.parametrize("stages", [4, 6])
-def test_forced_gc_and_reorder_mid_fixpoint(stages):
-    # Force a GC-eligibility check and a sifting pass at *every* saturation
-    # checkpoint: the reached set must be unaffected no matter where in the
-    # fixed point the store is rebuilt or the order permuted.
-    stg = muller_pipeline(stages)
-    reference = SymbolicNet(stg.net, stg=stg, fixpoint="chaining")
-    reference.reachable_set()
-
-    stressed = SymbolicNet(stg.net, stg=stg, fixpoint="saturation")
-    original = stressed._maintain
-
-    def maintain(reached, groups):
-        stressed._gc_threshold = 0
-        stressed._reorder_threshold = 0
-        return original(reached, groups)
-
-    stressed._maintain = maintain
-    stressed.reachable_set()
-    assert stressed.bdd.gc_runs > 0
-    assert stressed.bdd.reorder_passes > 0
-    assert stressed.count_states() == reference.count_states()
-    assert stressed.count_markings() == reference.count_markings()
-
-
-def test_saturation_respects_max_states():
-    stg = muller_pipeline(6)
-    engine = SymbolicNet(stg.net, stg=stg, fixpoint="saturation", max_states=5)
-    with pytest.raises(StateSpaceLimitExceeded):
-        engine.reachable_set()
-
-
-@pytest.mark.parametrize("fixpoint", FIXPOINTS)
-def test_fixpoints_respect_max_iterations(fixpoint):
-    stg = muller_pipeline(6)
-    engine = SymbolicNet(stg.net, stg=stg, fixpoint=fixpoint, max_iterations=1)
-    with pytest.raises(RuntimeError):
-        engine.reachable_set()
-
-
-# --------------------------------------------------------------------- #
-# Through the state-space protocol
-# --------------------------------------------------------------------- #
 @pytest.mark.parametrize(
-    "builder",
-    SPEC_BUILDERS[:4] + [lambda: muller_pipeline(5)],
-    ids=SPEC_IDS[:4] + ["muller_5"],
+    "build", [_chaining, _state_space], ids=["chaining", "state-space"]
 )
-def test_state_space_fixpoints_agree_on_coding(builder):
-    saturation = SymbolicStateSpace(builder(), fixpoint="saturation")
-    chaining = SymbolicStateSpace(builder(), fixpoint="chaining")
-    assert saturation.num_states == chaining.num_states
-    assert saturation.reachable_code_words() == chaining.reachable_code_words()
-    usc_s, usc_c = saturation.check_usc(), chaining.check_usc()
-    csc_s, csc_c = saturation.check_csc(), chaining.check_csc()
-    assert usc_s.satisfied == usc_c.satisfied
-    assert csc_s.satisfied == csc_c.satisfied
-
-
-def test_state_space_surfaces_maintenance_counters():
-    space = SymbolicStateSpace(muller_pipeline(8))
-    assert space.peak_bdd_nodes >= space.num_bdd_nodes
-    assert space.gc_runs >= 0
-    assert space.nodes_reclaimed >= 0
-    assert space.reorder_passes >= 0
-    # muller_8 crosses the GC threshold, so at least one sweep must have
-    # happened and reclaimed the fixpoint's intermediate results.
-    assert space.gc_runs > 0
-    assert space.nodes_reclaimed > 0
+def test_fixpoints_respect_max_iterations(build):
+    with pytest.raises(RuntimeError):
+        build(muller_pipeline(6))
