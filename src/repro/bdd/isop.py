@@ -46,6 +46,7 @@ def isop(bdd: BDD, lower: int, upper: int, bit_of: Dict[str, int]) -> List[Tuple
     for name, bit in bit_of.items():
         level_bit[bdd._level[name]] = bit
     cache: Dict[Tuple[int, int], Tuple[int, Tuple[Tuple[int, int], ...]]] = {}
+    nodes = bdd._nodes
     # Recursion-depth high-water mark, reported when tracing is active.
     depth_stats = [0, 0]  # current depth, max depth
 
@@ -61,7 +62,15 @@ def isop(bdd: BDD, lower: int, upper: int, bit_of: Dict[str, int]) -> List[Tuple
         depth_stats[0] += 1
         if depth_stats[0] > depth_stats[1]:
             depth_stats[1] = depth_stats[0]
-        level = min(bdd._level_of(low), bdd._level_of(up))
+        low_level, low0, low1 = nodes[low]
+        up_level, up0, up1 = nodes[up]
+        if up_level < low_level:
+            level = up_level
+            low0 = low1 = low
+        else:
+            level = low_level
+            if low_level < up_level:
+                up0 = up1 = up
         try:
             bit = level_bit[level]
         except KeyError:
@@ -69,8 +78,6 @@ def isop(bdd: BDD, lower: int, upper: int, bit_of: Dict[str, int]) -> List[Tuple
                 "isop support variable %r has no output bit"
                 % bdd.variables[level]
             )
-        low0, low1 = bdd._cofactors(low, level)
-        up0, up1 = bdd._cofactors(up, level)
         # Minterms that can only be covered by cubes carrying the literal.
         need0 = bdd.conj(low0, bdd.negate(up1))
         need1 = bdd.conj(low1, bdd.negate(up0))

@@ -8,7 +8,11 @@ quantification and satisfying-assignment enumeration.
 
 The implementation follows Bryant's original formulation: nodes are
 ``(level, low, high)`` triples, terminals are ``0`` and ``1``, and every
-operation is memoised on node identity.
+operation is memoised on node identity.  The terminals are stored as
+``(nvars, 0, 0)`` and ``(nvars, 1, 1)``: they sit at a level below every
+variable and are their own cofactors, so a recursion step reads each
+operand's tuple once and picks the top level and the cofactors inline,
+with no terminal special case and no helper call on the hot path.
 
 Beyond the classic core the manager provides the three operations the
 symbolic state-space backend (:mod:`repro.spaces`) is built on:
@@ -36,7 +40,7 @@ never invalidated.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 __all__ = ["BDD"]
 
@@ -75,8 +79,10 @@ class BDD:
             raise ValueError("duplicate variable names in BDD ordering")
         self.variables: List[str] = list(variables)
         self._level: Dict[str, int] = {name: i for i, name in enumerate(variables)}
-        # Node storage: node id -> (level, low, high).  Ids 0/1 are terminals.
-        self._nodes: List[Tuple[int, int, int]] = [(-1, 0, 0), (-1, 1, 1)]
+        # Node storage: node id -> (level, low, high).  Ids 0/1 are the
+        # terminals, at the bottom level and with themselves as cofactors.
+        bottom = len(self.variables)
+        self._nodes: List[Tuple[int, int, int]] = [(bottom, 0, 0), (bottom, 1, 1)]
         self._unique: Dict[Tuple[int, int, int], int] = {}
         self._ite_cache: Dict[Tuple[int, int, int], int] = {}
         self._var_nodes: Dict[str, int] = {}
@@ -162,43 +168,49 @@ class BDD:
         """Total number of allocated nodes (including terminals)."""
         return len(self._nodes)
 
-    def _level_of(self, node: int) -> int:
-        if node in (self.FALSE, self.TRUE):
-            return len(self.variables)
-        return self._nodes[node][0]
-
-    def _cofactors(self, node: int, level: int) -> Tuple[int, int]:
-        if node in (self.FALSE, self.TRUE):
-            return node, node
-        node_level, low, high = self._nodes[node]
-        if node_level == level:
-            return low, high
-        return node, node
-
     # ------------------------------------------------------------------ #
     # Core: if-then-else
     # ------------------------------------------------------------------ #
     def ite(self, f: int, g: int, h: int) -> int:
         """``if f then g else h`` -- the universal BDD operation."""
-        if f == self.TRUE:
+        # Ids 0 and 1 are FALSE and TRUE.
+        if f == 1:
             return g
-        if f == self.FALSE:
+        if f == 0:
             return h
         if g == h:
             return g
-        if g == self.TRUE and h == self.FALSE:
+        if g == 1 and h == 0:
             return f
         key = (f, g, h)
         cached = self._ite_cache.get(key)
         if cached is not None:
             return cached
-        level = min(self._level_of(f), self._level_of(g), self._level_of(h))
-        f0, f1 = self._cofactors(f, level)
-        g0, g1 = self._cofactors(g, level)
-        h0, h1 = self._cofactors(h, level)
+        nodes = self._nodes
+        f_level, f0, f1 = nodes[f]
+        g_level, g0, g1 = nodes[g]
+        h_level, h0, h1 = nodes[h]
+        level = f_level if f_level < g_level else g_level
+        if h_level < level:
+            level = h_level
+        # Operands below the top level are their own cofactors.
+        if f_level != level:
+            f0 = f1 = f
+        if g_level != level:
+            g0 = g1 = g
+        if h_level != level:
+            h0 = h1 = h
         low = self.ite(f0, g0, h0)
         high = self.ite(f1, g1, h1)
-        result = self._make_node(level, low, high)
+        if low == high:
+            result = low
+        else:  # _make_node, inlined
+            node_key = (level, low, high)
+            result = self._unique.get(node_key)
+            if result is None:
+                result = len(nodes)
+                nodes.append(node_key)
+                self._unique[node_key] = result
         self._ite_cache[key] = result
         return result
 
@@ -245,13 +257,11 @@ class BDD:
         cache: Dict[int, int] = {}
 
         def walk(node: int) -> int:
-            if node in (self.FALSE, self.TRUE):
-                return node
             cached = cache.get(node)
             if cached is not None:
                 return cached
             node_level, low, high = self._nodes[node]
-            if node_level > level:
+            if node_level > level:  # terminals included: they sit lowest
                 result = node
             elif node_level == level:
                 result = high if value else low
@@ -262,15 +272,12 @@ class BDD:
 
         return walk(f)
 
-    def _quant_id(self, levels: FrozenSet[int]) -> int:
-        ident = self._quant_ids.get(levels)
-        if ident is None:
-            ident = len(self._quant_ids)
-            self._quant_ids[levels] = ident
-        return ident
-
-    def _levels_of(self, names: Iterable[str]) -> FrozenSet[int]:
-        return frozenset(self._level[name] for name in names)
+    def _quant(self, names: Iterable[str]) -> Tuple[FrozenSet[int], int]:
+        """A quantification set as ``(levels, interned id)``: results are
+        memoised per id, and callers that reuse a set (one image per
+        transition) prepare it once for :meth:`_and_exists`."""
+        levels = frozenset(self._level[name] for name in names)
+        return levels, self._quant_ids.setdefault(levels, len(self._quant_ids))
 
     def exists(self, f: int, names: Iterable[str]) -> int:
         """Existentially quantify the given variables out of ``f``.
@@ -279,41 +286,26 @@ class BDD:
         ``low or high``, unquantified ones are rebuilt.  Results are memoised
         per (node, variable-set) across calls.
         """
-        levels = self._levels_of(names)
-        if not levels:
-            return f
-        qid = self._quant_id(levels)
-        cache = self._exists_cache
-        nodes = self._nodes
-
-        def walk(node: int) -> int:
-            if node in (self.FALSE, self.TRUE):
-                return node
-            key = (node, qid)
-            cached = cache.get(key)
-            if cached is not None:
-                return cached
-            level, low, high = nodes[node]
-            if level in levels:
-                result = self.disj(walk(low), walk(high))
-            else:
-                result = self._make_node(level, walk(low), walk(high))
-            cache[key] = result
-            return result
-
-        return walk(f)
+        return self._quantify(f, names, self._exists_cache, self.disj)
 
     def forall(self, f: int, names: Iterable[str]) -> int:
         """Universally quantify the given variables out of ``f``."""
-        levels = self._levels_of(names)
+        return self._quantify(f, names, self._forall_cache, self.conj)
+
+    def _quantify(
+        self, f: int, names: Iterable[str], cache: Dict[Tuple[int, int], int],
+        merge: Callable[[int, int], int],
+    ) -> int:
+        """The walk of :meth:`exists`/:meth:`forall`: a quantified node
+        becomes ``merge(low, high)``."""
+        levels, qid = self._quant(names)
         if not levels:
             return f
-        qid = self._quant_id(levels)
-        cache = self._forall_cache
         nodes = self._nodes
+        make = self._make_node
 
         def walk(node: int) -> int:
-            if node in (self.FALSE, self.TRUE):
+            if node < 2:  # terminal
                 return node
             key = (node, qid)
             cached = cache.get(key)
@@ -321,9 +313,9 @@ class BDD:
                 return cached
             level, low, high = nodes[node]
             if level in levels:
-                result = self.conj(walk(low), walk(high))
+                result = merge(walk(low), walk(high))
             else:
-                result = self._make_node(level, walk(low), walk(high))
+                result = make(level, walk(low), walk(high))
             cache[key] = result
             return result
 
@@ -338,35 +330,40 @@ class BDD:
         and the quantification are interleaved in a single recursion, with
         early termination as soon as a quantified branch reaches TRUE.
         """
-        levels = self._levels_of(names)
-        qid = self._quant_id(levels)
+        return self._and_exists(f, g, self._quant(names))
+
+    def _and_exists(self, f: int, g: int, quant: Tuple[FrozenSet[int], int]) -> int:
+        """:meth:`and_exists` over a set prepared by :meth:`_quant`."""
+        levels, qid = quant
         cache = self._and_exists_cache
-        total = len(self.variables)
+        nodes = self._nodes
+        make = self._make_node
+        ite = self.ite
 
         def walk(f_node: int, g_node: int) -> int:
-            if f_node == self.FALSE or g_node == self.FALSE:
-                return self.FALSE
-            if f_node == self.TRUE and g_node == self.TRUE:
-                return self.TRUE
+            if f_node == 0 or g_node == 0:
+                return 0
+            if f_node == 1 and g_node == 1:
+                return 1
             if g_node < f_node:
                 f_node, g_node = g_node, f_node  # conjunction is symmetric
             key = (f_node, g_node, qid)
             cached = cache.get(key)
             if cached is not None:
                 return cached
-            level = min(self._level_of(f_node), self._level_of(g_node))
-            if level >= total:  # both terminal TRUE handled above
-                return self.TRUE
-            f0, f1 = self._cofactors(f_node, level)
-            g0, g1 = self._cofactors(g_node, level)
+            # g_node is not a terminal here, so the top level is a variable.
+            level, f0, f1 = nodes[f_node]
+            g_level, g0, g1 = nodes[g_node]
+            if g_level < level:
+                level = g_level
+                f0 = f1 = f_node
+            elif level < g_level:
+                g0 = g1 = g_node
             if level in levels:
                 low = walk(f0, g0)
-                if low == self.TRUE:
-                    result = self.TRUE
-                else:
-                    result = self.disj(low, walk(f1, g1))
+                result = 1 if low == 1 else ite(low, 1, walk(f1, g1))
             else:
-                result = self._make_node(level, walk(f0, g0), walk(f1, g1))
+                result = make(level, walk(f0, g0), walk(f1, g1))
             cache[key] = result
             return result
 
@@ -393,15 +390,17 @@ class BDD:
         if len(set(transformed)) != len(transformed) or transformed != sorted(transformed):
             raise ValueError("rename mapping does not preserve the variable order")
         cache: Dict[int, int] = {}
+        nodes = self._nodes
+        make = self._make_node
 
         def walk(node: int) -> int:
-            if node in (self.FALSE, self.TRUE):
+            if node < 2:  # terminal
                 return node
             cached = cache.get(node)
             if cached is not None:
                 return cached
-            level, low, high = self._nodes[node]
-            result = self._make_node(level_map.get(level, level), walk(low), walk(high))
+            level, low, high = nodes[node]
+            result = make(level_map.get(level, level), walk(low), walk(high))
             cache[node] = result
             return result
 
@@ -478,28 +477,21 @@ class BDD:
                 raise ValueError("unknown variables in subset: %s" % ", ".join(unknown))
             full = self.count_solutions(f)
             return full >> (len(self.variables) - len(subset))
-        cache: Dict[int, int] = {}
-        total_vars = len(self.variables)
+        nodes = self._nodes
+        cache: Dict[int, int] = {self.FALSE: 0, self.TRUE: 1}
 
-        def walk(node: int) -> Tuple[int, int]:
-            """Return (count, level) where count is over vars below level."""
-            if node == self.FALSE:
-                return 0, total_vars
-            if node == self.TRUE:
-                return 1, total_vars
-            if node in cache:
-                return cache[node], self._nodes[node][0]
-            level, low, high = self._nodes[node]
-            low_count, low_level = walk(low)
-            high_count, high_level = walk(high)
-            count = low_count * (1 << (low_level - level - 1)) + high_count * (
-                1 << (high_level - level - 1)
-            )
-            cache[node] = count
-            return count, level
+        def walk(node: int) -> int:
+            """Count over the variables from the node's level down."""
+            count = cache.get(node)
+            if count is None:
+                level, low, high = nodes[node]
+                count = (walk(low) << (nodes[low][0] - level - 1)) + (
+                    walk(high) << (nodes[high][0] - level - 1)
+                )
+                cache[node] = count
+            return count
 
-        count, level = walk(f)
-        return count * (1 << level)
+        return walk(f) << nodes[f][0]
 
     def satisfying_assignments(
         self, f: int, names: Optional[Iterable[str]] = None
@@ -529,7 +521,7 @@ class BDD:
                 yield dict(partial)
                 return
             name = self.variables[level]
-            node_level = self._level_of(node)
+            node_level = self._nodes[node][0]
             if subset is not None and name not in subset:
                 # Outside the subset the function cannot depend on the
                 # variable (support was checked): skip the level entirely.

@@ -37,7 +37,7 @@ STG explores markings only.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from ..obs import current_tracer
 from ..petrinet import PetriNet, StateSpaceLimitExceeded
@@ -141,7 +141,8 @@ class SymbolicNet:
         self.transitions: List[str] = list(self.net.transitions)
         self._transition_index = {t: i for i, t in enumerate(self.transitions)}
         self._enable: List[int] = []
-        self._changed: List[FrozenSet[str]] = []
+        # Quantification set of each image, prepared once for and_exists.
+        self._changed: List[Tuple[FrozenSet[int], int]] = []
         self._update: List[int] = []
         self._unsafe_or: List[int] = []
         self._wrong_value: List[int] = []
@@ -172,7 +173,7 @@ class SymbolicNet:
                         update = bdd.conj(update, bdd.nvar(name))
                         wrong = bdd.nvar(name)
             self._enable.append(enable)
-            self._changed.append(frozenset(changed))
+            self._changed.append(bdd._quant(changed))
             self._update.append(update)
             self._unsafe_or.append(unsafe)
             self._wrong_value.append(wrong)
@@ -194,7 +195,7 @@ class SymbolicNet:
     def image(self, current: int, index: int) -> int:
         """Successor states of ``current`` under one transition."""
         bdd = self.bdd
-        abstracted = bdd.and_exists(current, self._enable[index], self._changed[index])
+        abstracted = bdd._and_exists(current, self._enable[index], self._changed[index])
         if abstracted == bdd.FALSE:
             return bdd.FALSE
         return bdd.conj(abstracted, self._update[index])
@@ -385,26 +386,23 @@ class SymbolicNet:
     # ------------------------------------------------------------------ #
     def unsafe_witness(self) -> Optional[str]:
         """Name of a transition whose firing would not be safe, if any."""
-        bdd = self.bdd
-        reached = self.reachable_set()
-        for index, transition in enumerate(self.transitions):
-            if self._unsafe_or[index] == bdd.FALSE:
-                continue
-            guard = bdd.conj(self._enable[index], self._unsafe_or[index])
-            if bdd.and_exists(reached, guard, self.bdd.variables) != bdd.FALSE:
-                return transition
-        return None
+        return self._witness(self._unsafe_or)
 
     def inconsistent_enabled_witness(self) -> Optional[str]:
         """A labelled transition enabled while its signal already holds the
         target value (violating consistent state assignment), if any."""
+        return self._witness(self._wrong_value)
+
+    def _witness(self, conditions: List[int]) -> Optional[str]:
+        """First transition enabled in a reachable state meeting its condition."""
         bdd = self.bdd
         reached = self.reachable_set()
+        everything = bdd._quant(bdd.variables)
         for index, transition in enumerate(self.transitions):
-            if self._wrong_value[index] == bdd.FALSE:
+            if conditions[index] == bdd.FALSE:
                 continue
-            guard = bdd.conj(self._enable[index], self._wrong_value[index])
-            if bdd.and_exists(reached, guard, self.bdd.variables) != bdd.FALSE:
+            guard = bdd.conj(self._enable[index], conditions[index])
+            if bdd._and_exists(reached, guard, everything) != bdd.FALSE:
                 return transition
         return None
 

@@ -14,7 +14,8 @@ import pytest
 from repro.bdd import BDD, SymbolicNet, isop
 from repro.bdd.manager import _CountingCache
 from repro.petrinet import StateSpaceLimitExceeded, explore
-from repro.stg import muller_pipeline, paper_example
+from repro.stg import STG, SignalType, benchmark_by_name, muller_pipeline, paper_example
+from repro.synthesis import synthesize
 
 
 def test_basic_connectives():
@@ -295,3 +296,56 @@ def test_counting_caches_count_lookups():
     assert bdd.disj(f, bdd.var("c")) == g  # memoised: a hit
     after = bdd.stats()
     assert after["ite_cache_hits"] > before["ite_cache_hits"]
+
+
+# Exact node-store counts of the sg-bdd flow.  Node creation order decides
+# node ids, so any kernel change that keeps the recursion order keeps these
+# counts to the node; a change here means the store itself changed.
+@pytest.mark.parametrize(
+    "name, peak_nodes, iterations, literals",
+    [
+        ("muller_pipeline_8", 15291, 11, 48),
+        ("muller_pipeline_10", 25569, 13, 60),
+        ("tsbmSIBRK", 41261, 4, 32),
+        ("pe-send-ifc", 19190, 4, 24),
+        ("csc_arbiter_8", 6568, 2, 0),
+    ],
+)
+def test_sg_bdd_node_store_is_pinned(name, peak_nodes, iterations, literals):
+    result = synthesize(benchmark_by_name(name).build(), method="sg-bdd")
+    space = result.details.space
+    assert (space.peak_bdd_nodes, space.iterations, result.literal_count) == (
+        peak_nodes,
+        iterations,
+        literals,
+    )
+
+
+def test_chaining_peak_on_muller16_is_pinned():
+    # The fixed point bench_table1 stamps as ``bdd_peak_nodes``.
+    stg = muller_pipeline(16)
+    engine = SymbolicNet(stg.net, stg=stg)
+    engine.reachable_set()
+    assert engine.bdd.num_nodes == 55648
+
+
+def test_witnesses_name_the_offending_transition():
+    # a+ twice in a row: the second fires while a is already 1.
+    stg = STG("inconsistent")
+    stg.add_signal("a", SignalType.OUTPUT, initial=0)
+    first = stg.add_transition("a+")
+    second = stg.add_transition("a+")
+    stg.add_arc(stg.add_place("s", tokens=1), first)
+    stg.connect(first, second)
+    engine = SymbolicNet(stg.net, stg=stg)
+    assert engine.inconsistent_enabled_witness() == second
+    assert engine.unsafe_witness() is None
+    # t moves the token of p into q, which already holds one.
+    stg = STG("unsafe")
+    stg.add_signal("a", SignalType.OUTPUT, initial=0)
+    t = stg.add_transition("a+")
+    stg.add_arc(stg.add_place("p", tokens=1), t)
+    stg.add_arc(t, stg.add_place("q", tokens=1))
+    engine = SymbolicNet(stg.net, stg=stg)
+    assert engine.unsafe_witness() == t
+    assert engine.inconsistent_enabled_witness() is None
