@@ -10,9 +10,10 @@ synthesis flow uses covers for
 * the final gate implementations whose literal counts are reported.
 
 Besides the usual set algebra (union, intersection, sharp, complement) the
-class provides tautology checking and single-cube containment, both via the
-standard unate-recursive paradigm, which are the primitives required by the
-Espresso-style minimiser in :mod:`repro.boolean.minimize`.
+class provides tautology checking and single-cube containment; tautology
+and the complement follow the standard unate-recursive paradigm.  These are
+the primitives required by the Espresso-style minimiser in
+:mod:`repro.boolean.minimize`.
 
 The hot loops (pairwise intersection, cofactoring, containment) work on the
 cubes' ``(ones, zeros)`` integer masks directly and deduplicate through a
@@ -25,6 +26,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .cube import Cube, CubeError
+from .pairs import complement_pairs
 
 __all__ = ["Cover", "minterm_cover"]
 
@@ -293,18 +295,17 @@ class Cover:
             result = result.sharp(cube)
         return result
 
-    def complement(self, kernel: Optional[str] = None) -> "Cover":
+    def complement(self) -> "Cover":
         """Return a cover of the complement function.
 
-        Uses recursive Shannon expansion on the most-bound variable, which is
-        efficient enough for the signal counts of asynchronous controller
-        benchmarks (tens of variables).  With the numpy kernel the same
-        recursion runs over uint64 cube matrices, bit-identically.
+        Uses recursive Shannon expansion on the most-bound variable, over
+        the cubes' raw mask pairs (:func:`repro.boolean.pairs.complement_pairs`),
+        on every cover size and kernel.
         """
-        matrix = _matrix_kernel(kernel, len(self._cubes))
-        if matrix is not None:
-            return matrix.complement_cover(self)
-        return Cover(self.nvars, _complement_rec(self, Cube.full(self.nvars)))
+        return Cover.from_mask_pairs(
+            self.nvars,
+            complement_pairs([(cube.ones, cube.zeros) for cube in self._cubes]),
+        )
 
     # ------------------------------------------------------------------ #
     # Tautology / containment
@@ -487,25 +488,3 @@ def _tautology_rec(cover: Cover) -> bool:
         return False
     negative = cover.cofactor(Cube.full(cover.nvars).with_literal(var, 0))
     return _tautology_rec(negative)
-
-
-def _complement_rec(cover: Cover, context: Cube) -> List[Cube]:
-    """Return cubes covering ``context AND NOT cover``."""
-    # Quick exits.
-    if cover.is_empty():
-        return [context]
-    for cube in cover:
-        if cube.is_full():
-            return []
-    var = _select_splitting_var(cover)
-    if var is None:
-        return []
-    results: List[Cube] = []
-    for value in (1, 0):
-        branch_context = context.cofactor(var, value)
-        if branch_context is None:
-            continue
-        branch_context = branch_context.with_literal(var, value)
-        branch = cover.cofactor(Cube.full(cover.nvars).with_literal(var, value))
-        results.extend(_complement_rec(branch, branch_context))
-    return results

@@ -10,6 +10,12 @@ don't-care set, to reduce the literal count of the final implementation
 * :func:`quine_mccluskey` -- an exact minimiser (prime generation plus a
   greedy/Petrick covering step) usable for small variable counts; the test
   suite uses it to cross-check the heuristic minimiser.
+
+EXPAND, REDUCE and the complement behind the off-set each have one
+implementation on raw ``(ones, zeros)`` int pairs (REDUCE and the
+complement live in :mod:`repro.boolean.pairs`).  Only IRREDUNDANT and
+single-cube containment switch to uint64 cube matrices under the numpy
+kernel, bit-identically.
 """
 
 from __future__ import annotations
@@ -17,14 +23,17 @@ from __future__ import annotations
 import itertools
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
+from ..core.packed import popcount as _popcount
 from ..obs import current_tracer
 from .cover import Cover, _matrix_kernel
 from .cube import Cube
+from .pairs import bounding_difference_pairs
 
 __all__ = ["espresso", "quine_mccluskey", "MinimizationResult"]
 
-#: Matrix-backed phase passes executed since import; espresso() snapshots
-#: this around its loop to feed the ``espresso_matrix_passes`` obs counter.
+#: IRREDUNDANT passes run on cube matrices since import; espresso()
+#: snapshots this around its loop to feed the ``espresso_matrix_passes`` obs
+#: counter, which therefore counts matrix IRREDUNDANT passes only.
 _matrix_passes = 0
 
 
@@ -78,10 +87,11 @@ def espresso(
 
     ``kernel`` selects the cover engine backend (``"auto"`` / ``"numpy"`` /
     ``"python"``, see :func:`repro.kernel.resolve_kernel`): under numpy the
-    irredundant/reduce passes and the complement run over uint64 cube
-    matrices; EXPAND is the python blocking-set scan on every kernel.  Both
-    backends produce the identical :class:`MinimizationResult` -- same
-    cubes, same order, same iteration count.
+    irredundant pass and single-cube containment run over uint64 cube
+    matrices.  EXPAND (the blocking-set scan), REDUCE and the complement
+    have one python-int implementation each and run the same on every
+    kernel.  Both backends produce the identical :class:`MinimizationResult`
+    -- same cubes, same order, same iteration count.
     """
     nvars = on.nvars
     if dc is None:
@@ -92,12 +102,12 @@ def espresso(
     care_on = on
     initial_literals = on.literal_count
     passes_before = _matrix_passes
+    obs = current_tracer()
+    complement_cubes = 0
     if off is None:
-        off = on.union(dc).complement(kernel=kernel).single_cube_containment(
-            kernel=kernel
-        )
-    else:
-        off = off.single_cube_containment(kernel=kernel)
+        off = on.union(dc).complement()
+        complement_cubes = len(off)
+    off = off.single_cube_containment(kernel=kernel)
 
     current = on.single_cube_containment(kernel=kernel)
     iterations = 0
@@ -106,13 +116,14 @@ def espresso(
     # run, so grown cubes are memoised across phases: the post-irredundant
     # expand of each iteration mostly re-expands already-maximal cubes.
     expand_cache: Dict[Tuple[int, int], Cube] = {}
-    obs = current_tracer()
     expand_stats = [0, 0] if obs.enabled else None
+    reduce_stats = [0, 0] if obs.enabled else None
+    dc_pairs = [(cube.ones, cube.zeros) for cube in dc]
     for _ in range(max_iterations):
         iterations += 1
         current = _expand(current, off, expand_cache, expand_stats)
         current = _irredundant_care(current, care_on, dc, kernel)
-        current = _reduce(current, dc, kernel)
+        current = _reduce(current, dc_pairs, reduce_stats)
         current = _expand(current, off, expand_cache, expand_stats)
         current = _irredundant_care(current, care_on, dc, kernel)
         cost = _cost(current)
@@ -131,6 +142,9 @@ def espresso(
         span.counter("espresso_output_cubes", len(current))
         span.counter("expand_cubes", expand_stats[0])
         span.counter("expand_literals_dropped", expand_stats[1])
+        span.counter("reduce_cubes_shrunk", reduce_stats[0])
+        span.counter("reduce_literals_added", reduce_stats[1])
+        span.counter("complement_out_cubes", complement_cubes)
         if _matrix_passes > passes_before:
             span.counter("espresso_matrix_passes", _matrix_passes - passes_before)
     return MinimizationResult(current, iterations, initial_literals)
@@ -336,73 +350,31 @@ def _expand_cube(cube: Cube, off_masks: Sequence[Tuple[int, int]]) -> Cube:
     return Cube(cube.nvars, ones & kept, zeros & kept)
 
 
-def _reduce(cover: Cover, dc: Cover, kernel: Optional[str] = None) -> Cover:
-    """Shrink each cube to the smallest cube covering its essential part."""
-    matrix = _matrix_kernel(kernel, len(cover) + len(dc))
-    if matrix is not None:
-        return _reduce_matrix(cover, dc, matrix)
-    cubes = list(cover)
-    reduced: List[Cube] = []
-    for index, cube in enumerate(cubes):
-        # Earlier cubes are taken in their already-reduced form, later cubes
-        # in their original form (standard Espresso REDUCE ordering).
-        rest = Cover(cover.nvars, reduced + cubes[index + 1:])
-        rest = rest.union(dc)
-        essential = Cover(cover.nvars, [cube]).difference(rest)
-        if essential.is_empty():
-            # Entirely covered elsewhere; keep as-is, irredundant pass drops it.
-            reduced.append(cube)
-            continue
-        smallest = essential[0]
-        for piece in essential:
-            smallest = smallest.supercube(piece)
-        reduced.append(smallest)
-    return Cover(cover.nvars, reduced)
+def _reduce(
+    cover: Cover, dc_pairs: List[Tuple[int, int]], stats: Optional[List[int]] = None
+) -> Cover:
+    """Shrink each cube to the smallest cube covering its essential part.
 
-
-def _reduce_matrix(cover: Cover, dc: Cover, matrix) -> Cover:
-    """Matrix twin of :func:`_reduce` (bit-identical).
-
-    The reduced cube is the bounding box of ``cube minus rest``; the
-    reference's supercube fold over an explicit difference cover computes
-    exactly that box, so :func:`repro.kernel.cubes.bounding_difference`
-    reproduces it without materialising the difference.
+    A cube's essential part is what no other cube and no don't-care
+    covers.  Earlier cubes are taken in their already-reduced form, later
+    cubes in their original form (standard Espresso REDUCE ordering), then
+    the DC-set as raw ``(ones, zeros)`` pairs.  ``stats``, when given,
+    accumulates ``[cubes shrunk, literals added]``.
     """
-    global _matrix_passes
-    _matrix_passes += 1
-    np = matrix.np
-    nvars = cover.nvars
-    words = matrix.words_for(nvars)
-    cubes = list(cover)
-    count = len(cubes)
-    all_ones, all_zeros = matrix.pack_pairs(
-        [(c.ones, c.zeros) for c in cubes], words
-    )
-    dc_ones, dc_zeros = matrix.pack_cover(dc)
-    # Earlier cubes participate in their already-reduced form (standard
-    # Espresso REDUCE ordering); rows are rewritten in place as we go.
-    done_ones = np.zeros((count, words), dtype=np.uint64)
-    done_zeros = np.zeros((count, words), dtype=np.uint64)
-    reduced: List[Cube] = []
+    cubes = [(cube.ones, cube.zeros) for cube in cover]
+    reduced: List[Tuple[int, int]] = []
     for index, cube in enumerate(cubes):
-        rest_ones = np.concatenate(
-            [done_ones[:index], all_ones[index + 1:], dc_ones]
-        )
-        rest_zeros = np.concatenate(
-            [done_zeros[:index], all_zeros[index + 1:], dc_zeros]
-        )
-        box = matrix.bounding_difference(
-            nvars, cube.ones, cube.zeros, rest_ones, rest_zeros
+        box = bounding_difference_pairs(
+            cube[0], cube[1], itertools.chain(reduced, cubes[index + 1:], dc_pairs)
         )
         if box is None:
             # Entirely covered elsewhere; keep as-is, irredundant pass drops it.
-            smallest = cube
-        else:
-            smallest = Cube(nvars, box[0], box[1])
-        reduced.append(smallest)
-        done_ones[index] = matrix.pack_row(smallest.ones, words)
-        done_zeros[index] = matrix.pack_row(smallest.zeros, words)
-    return Cover(nvars, reduced)
+            box = cube
+        elif stats is not None and box != cube:
+            stats[0] += 1
+            stats[1] += _popcount(box[0] | box[1]) - _popcount(cube[0] | cube[1])
+        reduced.append(box)
+    return Cover.from_mask_pairs(cover.nvars, reduced)
 
 
 # ---------------------------------------------------------------------- #

@@ -1,22 +1,18 @@
 """Cube-matrix kernels: covers as ``(ncubes, words)`` uint64 matrices.
 
-PR 7 vectorised reachability; this module does the same for the two-level
-cover engine that dominates ``EspTim``.  A :class:`~repro.boolean.cover.Cover`
-is packed into two ``(ncubes, words)`` uint64 matrices (``ones`` / ``zeros``,
-``words = ceil(nvars / 64)``) and the Espresso inner loops -- tautology and
-containment recursions, the bounding difference behind REDUCE, single-cube
-containment and the unate-recursive complement -- become whole-cover word
-operations.  EXPAND has no matrix form: its blocking-set scan in
-:mod:`repro.boolean.minimize` touches each off-cube once per cube, which
-python ints already do faster than a conflict tensor.
+A :class:`~repro.boolean.cover.Cover` is packed into two ``(ncubes, words)``
+uint64 matrices (``ones`` / ``zeros``, ``words = ceil(nvars / 64)``) and two
+of Espresso's inner loops -- the tautology and containment recursions
+behind IRREDUNDANT, and single-cube containment -- become whole-cover word
+operations.  EXPAND, REDUCE and the complement have no matrix form: they
+run on python-int ``(ones, zeros)`` pairs (:mod:`repro.boolean.minimize`,
+:mod:`repro.boolean.pairs`), which measured faster at every cover size.
+The tautology recursion hands its small tails to the same pair code.
 
-Bit-identity contract: every function here that *constructs* cubes or covers
-reproduces the pure-python reference exactly -- same cubes, same order, same
-deterministic tie-breaks.  The predicates (tautology, containment,
-emptiness) are semantic booleans, so for them only correctness matters; the
-constructive paths (complement's recursion order, single-cube
-containment's stable sort) replicate the reference's
-control flow and vectorise only the representation-independent inner checks.
+Bit-identity contract: single-cube containment, the one constructive
+function here, reproduces the pure-python reference exactly -- same cubes,
+same order (its stable sort).  The predicates (tautology, containment,
+emptiness) are semantic booleans, so for them only correctness matters.
 
 The word-row helpers :func:`pack_row` and :func:`row_int` move a single
 python-int cube in and out of a ``(words,)`` uint64 row; the cover engine
@@ -28,8 +24,9 @@ Everything assumes numpy is importable; callers gate through
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
+from ..boolean.pairs import _tautology_pairs
 from . import numpy_or_none
 
 np = numpy_or_none()
@@ -49,9 +46,7 @@ __all__ = [
     "contains_cube_rows",
     "covered_points",
     "cover_point_matrix",
-    "bounding_difference",
     "single_cube_containment_cover",
-    "complement_cover",
 ]
 
 _WORD = 64
@@ -152,9 +147,9 @@ def _conflict_any(ones, zeros):
     return ((ones & zeros) != 0).any(axis=1)
 
 
-#: Below this many rows the recursions hand off to python-int mask pairs:
-#: per-call numpy dispatch overhead beats word parallelism on tiny covers,
-#: and the deep tails of the unate recursions are all tiny.
+#: Below this many rows the tautology recursion hands off to python-int mask
+#: pairs: per-call numpy dispatch overhead beats word parallelism on tiny
+#: covers, and the deep tails of the unate recursion are all tiny.
 _SMALL_ROWS = 48
 
 
@@ -163,80 +158,6 @@ def rows_to_pairs(ones, zeros) -> List[Tuple[int, int]]:
     return [
         (row_int(ones[row]), row_int(zeros[row])) for row in range(len(ones))
     ]
-
-
-# -- python-int twins used below the _SMALL_ROWS threshold ---------------- #
-def _split_var_pairs(nvars: int, pairs) -> Optional[int]:
-    counts = [0] * nvars
-    for ones, zeros in pairs:
-        mask = ones | zeros
-        while mask:
-            low = mask & -mask
-            counts[low.bit_length() - 1] += 1
-            mask ^= low
-    best_var = None
-    best_count = 0
-    for var, count in enumerate(counts):
-        if count > best_count:
-            best_var = var
-            best_count = count
-    return best_var
-
-
-def _cofactor_pairs(pairs, cube_ones: int, cube_zeros: int):
-    fixed = cube_ones | cube_zeros
-    out = []
-    seen = set()
-    for ones, zeros in pairs:
-        if (ones & cube_zeros) | (zeros & cube_ones):
-            continue
-        key = (ones & ~fixed, zeros & ~fixed)
-        if key not in seen:
-            seen.add(key)
-            out.append(key)
-    return out
-
-
-def _tautology_pairs(nvars: int, pairs) -> bool:
-    # Tautology is semantic, so this recursion is free to apply the
-    # classic unate reductions the constructive twins cannot: rows with a
-    # literal of a unate variable never help cover the opposite half-space
-    # (taut(C) == taut(C cofactored against the unate orientation)), and
-    # the split variable only needs to be binate.
-    while True:
-        if not pairs:
-            return False
-        if any(ones == 0 and zeros == 0 for ones, zeros in pairs):
-            return True
-        or_ones = 0
-        or_zeros = 0
-        for ones, zeros in pairs:
-            or_ones |= ones
-            or_zeros |= zeros
-        binate = or_ones & or_zeros
-        pos_unate = or_ones & ~binate
-        neg_unate = or_zeros & ~binate
-        if pos_unate | neg_unate:
-            pairs = [
-                (ones, zeros)
-                for ones, zeros in pairs
-                if not ((ones & pos_unate) | (zeros & neg_unate))
-            ]
-            continue
-        if binate == 0:
-            return False
-        counts = [0] * nvars
-        for ones, zeros in pairs:
-            mask = (ones | zeros) & binate
-            while mask:
-                low = mask & -mask
-                counts[low.bit_length() - 1] += 1
-                mask ^= low
-        var = max(range(nvars), key=lambda index: counts[index])
-        bit = 1 << var
-        if not _tautology_pairs(nvars, _cofactor_pairs(pairs, bit, 0)):
-            return False
-        pairs = _cofactor_pairs(pairs, 0, bit)
 
 
 def intersect_cube_rows(ones, zeros, cube_ones_row, cube_zeros_row):
@@ -328,7 +249,7 @@ def is_tautology_rows(nvars: int, ones, zeros) -> bool:
     """
     while True:
         if len(ones) <= _SMALL_ROWS:
-            return _tautology_pairs(nvars, rows_to_pairs(ones, zeros))
+            return _tautology_pairs(rows_to_pairs(ones, zeros))
         full = ~((ones != 0).any(axis=1) | (zeros != 0).any(axis=1))
         if full.any():
             return True
@@ -413,128 +334,6 @@ def covered_points(ones, zeros, point_ones, point_zeros):
 
 
 # ---------------------------------------------------------------------- #
-# Espresso REDUCE: bounding box of ``context AND NOT cover``
-# ---------------------------------------------------------------------- #
-def bounding_difference(
-    nvars: int, ctx_ones: int, ctx_zeros: int, ones, zeros
-) -> Optional[Tuple[int, int]]:
-    """Smallest cube covering ``context minus cover``, or None when empty.
-
-    The reference REDUCE folds ``supercube`` over an explicit disjoint
-    cover of the difference; the supercube of *any* cover of a set equals
-    the set's bounding box (a variable is bound iff every minterm agrees
-    on it), so recursing directly on the bounding boxes is bit-identical
-    without materialising the difference cubes.
-    """
-    cof_ones, cof_zeros = cofactor_rows(
-        ones, zeros, pack_row(ctx_ones, words_for(nvars)), pack_row(ctx_zeros, words_for(nvars))
-    )
-    return _bounding_rec(nvars, ctx_ones, ctx_zeros, cof_ones, cof_zeros)
-
-
-def _bounding_rec(nvars, ctx_ones, ctx_zeros, ones, zeros):
-    if len(ones) <= _SMALL_ROWS:
-        return _bounding_pairs(nvars, ctx_ones, ctx_zeros, rows_to_pairs(ones, zeros))
-    full = ~((ones != 0).any(axis=1) | (zeros != 0).any(axis=1))
-    if full.any():
-        return None
-    ones, zeros = dedup_rows(ones, zeros)
-    var = _splitting_var(ones, zeros, nvars)
-    if var is None:  # pragma: no cover - defensive, mirrors the reference
-        return None
-    bit = 1 << var
-    box = None
-    for value in (1, 0):
-        if value:
-            if ctx_zeros & bit:
-                continue
-            branch_ctx = (ctx_ones | bit, ctx_zeros)
-        else:
-            if ctx_ones & bit:
-                continue
-            branch_ctx = (ctx_ones, ctx_zeros | bit)
-        lit_ones, lit_zeros = _var_rows(nvars, var, value)
-        branch_ones, branch_zeros = cofactor_rows(ones, zeros, lit_ones, lit_zeros)
-        piece = _bounding_rec(
-            nvars, branch_ctx[0], branch_ctx[1], branch_ones, branch_zeros
-        )
-        if piece is None:
-            continue
-        if box is None:
-            box = piece
-        else:
-            box = (box[0] & piece[0], box[1] & piece[1])
-        if box == (ctx_ones, ctx_zeros):
-            # The box can only lose literals as pieces merge, and it is
-            # bounded below by the context cube itself: once it reaches
-            # the context the remaining branch cannot change it.
-            return box
-    return box
-
-
-def _bounding_pairs(nvars, ctx_ones, ctx_zeros, pairs):
-    """Python-int tail of :func:`_bounding_rec` (same recursion, no numpy).
-
-    The box is semantic, which licenses one extra reduction the reference
-    lacks: a single-literal row ``x=v`` covers the whole ``x=v`` half of
-    the context, so the difference lives entirely in ``x=not v`` -- bind
-    that into the context and cofactor instead of branching.
-    """
-    while True:
-        if not pairs:
-            return ctx_ones, ctx_zeros
-        if any(ones == 0 and zeros == 0 for ones, zeros in pairs):
-            return None
-        single = None
-        for ones, zeros in pairs:
-            mask = ones | zeros
-            if mask and not (mask & (mask - 1)):
-                single = (ones, zeros, mask)
-                break
-        if single is None:
-            break
-        ones, zeros, bit = single
-        if ones:
-            ctx_zeros |= bit
-            pairs = _cofactor_pairs(pairs, 0, bit)
-        else:
-            ctx_ones |= bit
-            pairs = _cofactor_pairs(pairs, bit, 0)
-    var = _split_var_pairs(nvars, pairs)
-    if var is None:  # pragma: no cover - defensive, mirrors the reference
-        return None
-    bit = 1 << var
-    box = None
-    for value in (1, 0):
-        if value:
-            if ctx_zeros & bit:
-                continue
-            branch_ctx = (ctx_ones | bit, ctx_zeros)
-        else:
-            if ctx_ones & bit:
-                continue
-            branch_ctx = (ctx_ones, ctx_zeros | bit)
-        branch = (
-            _cofactor_pairs(pairs, bit, 0)
-            if value
-            else _cofactor_pairs(pairs, 0, bit)
-        )
-        piece = _bounding_pairs(nvars, branch_ctx[0], branch_ctx[1], branch)
-        if piece is None:
-            continue
-        if box is None:
-            box = piece
-        else:
-            box = (box[0] & piece[0], box[1] & piece[1])
-        if box == (ctx_ones, ctx_zeros):
-            # The box can only lose literals as pieces merge, and it is
-            # bounded below by the context cube itself: once it reaches
-            # the context the remaining branch cannot change it.
-            return box
-    return box
-
-
-# ---------------------------------------------------------------------- #
 # Single-cube containment (stable sort + subset sweep)
 # ---------------------------------------------------------------------- #
 def single_cube_containment_cover(cover):
@@ -580,86 +379,3 @@ def single_cube_containment_cover(cover):
         kept_rows.extend(int(row) for row in np.flatnonzero(~drop) + start)
     kept = [cubes[int(order[row])] for row in kept_rows]
     return Cover(cover.nvars, kept)
-
-
-# ---------------------------------------------------------------------- #
-# Complement (unate-recursive, replicating the reference recursion order)
-# ---------------------------------------------------------------------- #
-def complement_cover(cover):
-    """Matrix twin of ``Cover.complement`` (bit-identical cube order).
-
-    Unlike the semantic predicates, the complement's *output cubes* depend
-    on the recursion order, so this replicates the reference exactly:
-    splitting on the most-bound variable (lowest index on ties, counted
-    over the first-occurrence-deduplicated cofactor rows), positive branch
-    first, each emitted cube being the accumulated branch context.
-    """
-    from ..boolean.cover import Cover
-    from ..boolean.cube import Cube
-
-    nvars = cover.nvars
-    ones, zeros = pack_cover(cover)
-    pieces: List[Tuple[int, int]] = []
-    _complement_rec_rows(nvars, ones, zeros, 0, 0, pieces)
-    return Cover(nvars, [Cube(nvars, o, z) for o, z in pieces])
-
-
-def _complement_rec_rows(nvars, ones, zeros, ctx_ones, ctx_zeros, pieces):
-    if len(ones) <= _SMALL_ROWS:
-        _complement_pairs(
-            nvars, rows_to_pairs(ones, zeros), ctx_ones, ctx_zeros, pieces
-        )
-        return
-    full = ~((ones != 0).any(axis=1) | (zeros != 0).any(axis=1))
-    if full.any():
-        return
-    var = _splitting_var(ones, zeros, nvars)
-    if var is None:
-        return
-    bit = 1 << var
-    for value in (1, 0):
-        if value:
-            if ctx_zeros & bit:
-                continue
-            branch_ctx = (ctx_ones | bit, ctx_zeros)
-        else:
-            if ctx_ones & bit:
-                continue
-            branch_ctx = (ctx_ones, ctx_zeros | bit)
-        lit_ones, lit_zeros = _var_rows(nvars, var, value)
-        branch_ones, branch_zeros = cofactor_rows(ones, zeros, lit_ones, lit_zeros)
-        # The reference cofactor dedups rows first-occurrence; the dedup
-        # feeds the next level's splitting-variable counts, so it is part
-        # of the bit-identity contract here.
-        branch_ones, branch_zeros = dedup_rows(branch_ones, branch_zeros)
-        _complement_rec_rows(
-            nvars, branch_ones, branch_zeros, branch_ctx[0], branch_ctx[1], pieces
-        )
-
-
-def _complement_pairs(nvars, pairs, ctx_ones, ctx_zeros, pieces):
-    """Python-int tail of :func:`_complement_rec_rows` (bit-identical)."""
-    if not pairs:
-        pieces.append((ctx_ones, ctx_zeros))
-        return
-    if any(ones == 0 and zeros == 0 for ones, zeros in pairs):
-        return
-    var = _split_var_pairs(nvars, pairs)
-    if var is None:
-        return
-    bit = 1 << var
-    for value in (1, 0):
-        if value:
-            if ctx_zeros & bit:
-                continue
-            branch_ctx = (ctx_ones | bit, ctx_zeros)
-        else:
-            if ctx_ones & bit:
-                continue
-            branch_ctx = (ctx_ones, ctx_zeros | bit)
-        branch = (
-            _cofactor_pairs(pairs, bit, 0)
-            if value
-            else _cofactor_pairs(pairs, 0, bit)
-        )
-        _complement_pairs(nvars, branch, branch_ctx[0], branch_ctx[1], pieces)

@@ -5,7 +5,8 @@
 that file into a history:
 
 * :func:`stamp_report` adds ``timestamp`` (ISO 8601, UTC) and ``git_rev``
-  (``git rev-parse --short HEAD``) to a freshly collected report;
+  (``git rev-parse --short HEAD``, with ``-dirty`` appended when tracked
+  files differ from HEAD) to a freshly collected report;
 * :func:`merge_history` folds a stamped report into the existing file --
   the newest report's fields stay at the top level (so every consumer of
   the old flat format keeps working) and the full stamped reports
@@ -35,11 +36,11 @@ __all__ = [
 _META_KEYS = ("timestamp", "git_rev", "generated_by")
 
 
-def git_short_rev(cwd: Optional[str] = None) -> Optional[str]:
-    """``git rev-parse --short HEAD``, or None outside a repository."""
+def _git(args: List[str], cwd: Optional[str]) -> Optional[str]:
+    """Stripped stdout of a git command, or None when it cannot run."""
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
+            ["git"] + args,
             cwd=cwd,
             stdout=subprocess.PIPE,
             stderr=subprocess.DEVNULL,
@@ -47,8 +48,22 @@ def git_short_rev(cwd: Optional[str] = None) -> Optional[str]:
         ).stdout
     except (OSError, subprocess.CalledProcessError):
         return None
-    rev = out.decode("ascii", "replace").strip()
-    return rev or None
+    return out.decode("ascii", "replace").strip()
+
+
+def git_short_rev(cwd: Optional[str] = None) -> Optional[str]:
+    """``git rev-parse --short HEAD``, or None outside a repository.
+
+    A tree whose tracked files differ from HEAD gets ``-dirty`` appended:
+    a measurement of an uncommitted change must not carry its parent's
+    revision.  Untracked files do not count.
+    """
+    rev = _git(["rev-parse", "--short", "HEAD"], cwd)
+    if not rev:
+        return None
+    if _git(["status", "--porcelain", "--untracked-files=no"], cwd):
+        rev += "-dirty"
+    return rev
 
 
 def stamp_report(report: Dict[str, object], cwd: Optional[str] = None) -> Dict[str, object]:

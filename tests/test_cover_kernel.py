@@ -1,9 +1,11 @@
 """Python-vs-numpy equivalence of the cube-matrix cover kernel.
 
 The bit-identity contract of :mod:`repro.kernel.cubes`: every constructive
-cover operation (complement, single-cube containment, espresso itself)
-reproduces the pure-python reference exactly -- same cubes, same order,
-same iteration counts -- and the predicates agree on every probe.  The
+cover operation with a matrix path (single-cube containment, irredundant,
+espresso itself) reproduces the pure-python reference exactly -- same
+cubes, same order, same iteration counts -- and the predicates agree on
+every probe.  The complement has one implementation on raw mask pairs; it
+is checked cube for cube against the ``Cube``-object recursion below.  The
 suite sweeps the word boundaries (1, 12, 64, 65 and 128 variables), real
 Table 1 cover jobs, the >64-signal graph kernel and the memoised ranking
 cache.
@@ -15,6 +17,7 @@ import pytest
 
 from repro.boolean import Cover, Cube, espresso
 from repro.boolean import cover as cover_mod
+from repro.boolean.cover import _select_splitting_var
 from repro.kernel import HAS_NUMPY
 from repro.stg import csc_arbiter, table1_suite
 
@@ -43,6 +46,29 @@ def random_cover(rng, nvars, ncubes, max_literals=6):
 def assert_same_cover(a, b):
     assert a.nvars == b.nvars
     assert list(a) == list(b)
+
+
+def complement_oracle(cover):
+    """The unate-recursive complement on ``Cube`` objects: split on the
+    most-bound variable (lowest index on ties), positive half first, each
+    emitted cube being the accumulated branch context."""
+
+    def rec(cover, context):
+        if cover.is_empty():
+            return [context]
+        if any(cube.is_full() for cube in cover):
+            return []
+        var = _select_splitting_var(cover)
+        results = []
+        for value in (1, 0):
+            branch_context = context.cofactor(var, value)
+            if branch_context is None:
+                continue
+            branch = cover.cofactor(Cube.full(cover.nvars).with_literal(var, value))
+            results.extend(rec(branch, branch_context.with_literal(var, value)))
+        return results
+
+    return Cover(cover.nvars, rec(cover, Cube.full(cover.nvars)))
 
 
 # ---------------------------------------------------------------------- #
@@ -81,14 +107,35 @@ def test_constructive_cover_ops_bit_identical(nvars):
             cover.single_cube_containment(kernel="numpy"),
             cover.single_cube_containment(kernel="python"),
         )
-        assert_same_cover(
-            cover.complement(kernel="numpy"), cover.complement(kernel="python")
-        )
+        assert_same_cover(cover.complement(), complement_oracle(cover))
         dc = random_cover(rng, nvars, ncubes=rng.randint(0, 3), max_literals=5)
         assert_same_cover(
             cover.irredundant(dc, kernel="numpy"),
             cover.irredundant(dc, kernel="python"),
         )
+
+
+@pytest.mark.parametrize("nvars", WIDTHS)
+def test_complement_matches_cube_oracle(nvars):
+    """Same cubes in the same order as the ``Cube``-object recursion, on
+    covers with duplicate rows, full rows and none at all; and exact: the
+    complement is disjoint from the cover and together they are the
+    whole space (checked on minterms where the space is small)."""
+    rng = random.Random(500 + nvars)
+    covers = [Cover.empty(nvars), Cover.universe(nvars)]
+    for _ in range(12):
+        cover = random_cover(rng, nvars, ncubes=rng.randint(1, 9), max_literals=4)
+        covers.append(cover)
+        covers.append(Cover(nvars, list(cover) + list(cover)[:2]))
+    covers.append(Cover(nvars, list(covers[-1]) + [Cube.full(nvars)]))
+    for cover in covers:
+        complement = cover.complement()
+        assert_same_cover(complement, complement_oracle(cover))
+        if nvars <= 12:
+            assert complement.minterms() == set(range(1 << nvars)) - cover.minterms()
+        else:
+            assert not complement.intersects(cover)
+            assert cover.union(complement).is_tautology(kernel="python")
 
 
 @requires_numpy

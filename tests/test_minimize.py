@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 
 from repro.boolean import Cover, Cube, espresso, quine_mccluskey
-from repro.boolean.minimize import _expand_cube
+from repro.boolean import minimize as minimize_mod
+from repro.boolean.minimize import _expand_cube, _reduce
+from repro.boolean.pairs import _split_var_pairs
 from repro.obs import tracing
 
 
@@ -199,3 +201,120 @@ def test_espresso_expand_counters_are_deterministic():
     expanded, dropped = counts[0]
     assert expanded >= len(on)
     assert 0 < dropped <= on.literal_count
+
+
+# ---------------------------------------------------------------------- #
+# Split variable and REDUCE on raw mask pairs
+# ---------------------------------------------------------------------- #
+def split_var_oracle(pairs):
+    """The most-bound variable counted bit by bit, lowest index on ties."""
+    counts = {}
+    for ones, zeros in pairs:
+        mask = ones | zeros
+        var = 0
+        while mask:
+            if mask & 1:
+                counts[var] = counts.get(var, 0) + 1
+            mask >>= 1
+            var += 1
+    if not counts:
+        return None
+    best = max(counts.values())
+    return min(var for var, count in counts.items() if count == best)
+
+
+@st.composite
+def split_cases(draw):
+    nvars = draw(st.sampled_from(EXPAND_WIDTHS))
+    # Rows drawn from a small pool, so counts tie and carry often; the
+    # full row (0, 0) binds nothing.
+    pool = draw(st.lists(cube_masks(nvars), min_size=1, max_size=5))
+    pool.append((0, 0))
+    return draw(st.lists(st.sampled_from(pool), max_size=40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(split_cases())
+def test_split_var_matches_per_bit_count(pairs):
+    assert _split_var_pairs(pairs) == split_var_oracle(pairs)
+
+
+@pytest.mark.parametrize("nvars", EXPAND_WIDTHS)
+def test_split_var_edge_cases(nvars):
+    full = (1 << nvars) - 1
+    assert _split_var_pairs([]) is None
+    assert _split_var_pairs([(0, 0)] * 5) is None
+    # Every variable bound equally often: the lowest index wins the tie.
+    assert _split_var_pairs([(full, 0), (0, full)] * 3) == 0
+    # The top variable, bound in both polarities, outcounts variable 0.
+    top = 1 << (nvars - 1)
+    assert _split_var_pairs([(1, 0), (top, 0), (0, top)]) == nvars - 1
+
+
+def reduce_oracle(cover, dc):
+    """REDUCE by explicit difference: each cube becomes the supercube of
+    ``cube minus (reduced cubes before it, original cubes after it, dc)``,
+    or stays as it is when that difference is empty."""
+    cubes = list(cover)
+    reduced = []
+    for index, cube in enumerate(cubes):
+        rest = Cover(cover.nvars, reduced + cubes[index + 1:]).union(dc)
+        essential = Cover(cover.nvars, [cube]).difference(rest)
+        if essential.is_empty():
+            reduced.append(cube)
+            continue
+        smallest = essential[0]
+        for piece in essential:
+            smallest = smallest.supercube(piece)
+        reduced.append(smallest)
+    return Cover(cover.nvars, reduced)
+
+
+@st.composite
+def reduce_cases(draw):
+    nvars = draw(st.sampled_from([1, 5, 12, 65]))
+    pool = draw(st.lists(cube_masks(nvars), min_size=1, max_size=8))
+    cubes = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+    dc = draw(st.lists(cube_masks(nvars), max_size=3))
+    return Cover.from_mask_pairs(nvars, cubes), Cover.from_mask_pairs(nvars, dc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(reduce_cases())
+def test_pair_reduce_matches_difference_oracle(case):
+    cover_, dc = case
+    stats = [0, 0]
+    reduced = _reduce(cover_, [(c.ones, c.zeros) for c in dc], stats)
+    expected = reduce_oracle(cover_, dc)
+    assert list(reduced) == list(expected)
+    shrunk = [(old, new) for old, new in zip(cover_, reduced) if old != new]
+    assert stats == [
+        len(shrunk),
+        sum(new.num_literals - old.num_literals for old, new in shrunk),
+    ]
+
+
+def test_espresso_reduce_and_complement_counters(monkeypatch):
+    on = cover("0000", "0001", "0011", "0111", "1111", "1000")
+    dc = cover("1100")
+    with tracing("espresso") as tracer:
+        espresso(on, dc)
+    counters = tracer.root.counters
+    assert counters["complement_out_cubes"] == len(on.union(dc).complement())
+    assert counters["reduce_cubes_shrunk"] >= 0
+    assert counters["reduce_literals_added"] >= counters["reduce_cubes_shrunk"]
+    # An explicit off-set skips the complement.
+    with tracing("espresso") as tracer:
+        espresso(on, off=on.union(dc).complement())
+    assert tracer.root.counters["complement_out_cubes"] == 0
+    # Untraced runs hand REDUCE no statistics to fill.
+    seen = []
+    real_reduce = minimize_mod._reduce
+
+    def spy(cover_, dc_pairs, stats=None):
+        seen.append(stats)
+        return real_reduce(cover_, dc_pairs, stats)
+
+    monkeypatch.setattr(minimize_mod, "_reduce", spy)
+    espresso(on, dc)
+    assert seen and all(stats is None for stats in seen)

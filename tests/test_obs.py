@@ -364,6 +364,36 @@ def test_stamp_report_adds_timestamp_and_rev():
     assert rev is None or (isinstance(rev, str) and len(rev) >= 7)
 
 
+def test_stamp_report_marks_a_dirty_tree(tmp_path):
+    import shutil
+    import subprocess
+
+    if shutil.which("git") is None:
+        pytest.skip("git not installed")
+
+    def git(*args):
+        subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+            cwd=tmp_path,
+            check=True,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+
+    assert stamp_report(_report(1), cwd=str(tmp_path))["git_rev"] is None
+    git("init", "-q")
+    (tmp_path / "a.txt").write_text("one\n")
+    git("add", "a.txt")
+    git("commit", "-q", "-m", "one")
+    clean = stamp_report(_report(1), cwd=str(tmp_path))["git_rev"]
+    assert clean and not clean.endswith("-dirty")
+    # Untracked files leave the stamp clean; a modified tracked file does not.
+    (tmp_path / "b.txt").write_text("untracked\n")
+    assert stamp_report(_report(1), cwd=str(tmp_path))["git_rev"] == clean
+    (tmp_path / "a.txt").write_text("two\n")
+    assert stamp_report(_report(1), cwd=str(tmp_path))["git_rev"] == clean + "-dirty"
+
+
 def test_merge_history_adopts_flat_file_and_trims():
     flat = _report(1)  # pre-history snapshot, no "history" key
     merged = merge_history(stamp_report(_report(2)), flat)
